@@ -128,6 +128,9 @@ def fiber_census(m: RationalMap, budget: float = DEFAULT_BUDGET) -> FiberCensus:
             f"census cost {cost:.2e} exceeds budget {budget:.0e}; "
             f"largest affordable prime is ~{smaller}"
         )
+    if len(m.basis) * (p - 1) ** 2 >= 2**63:
+        # each image coordinate is an int64 sum of |basis| residue products
+        raise ValueError(f"int64 sums of {len(m.basis)} residue products overflow at p={p}")
     inv_table = np.zeros(p, dtype=np.int64)
     inv_table[1:] = np.array([pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
     weights = (p ** np.arange(n, -1, -1)).astype(np.int64)
@@ -221,7 +224,7 @@ def _census_cached(n: int, d: int, h: int, prime: int, seed: int, budget: float)
     m = map_from_system(spec, prime, seed)
     census = fiber_census(m, budget)
     if h and census.base_points < h:
-        raise AssertionError(
+        raise ValueError(
             f"sanity: {h} assigned double points must be rational base points, "
             f"census found {census.base_points}"
         )

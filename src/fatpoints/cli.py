@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -22,7 +23,7 @@ from .census import (
     map_from_system,
 )
 from .collisions import collision1_check, indip_check, limit_multiplicity_check
-from .ffield import DEFAULT_PRIMES
+from .ffield import DEFAULT_PRIMES, MAX_MODULUS
 from .formulas import hs_sequences, verify_sequence_properties
 from .grammar import SpecSemanticError, SpecSyntaxError, parse_spec
 from .schemes import castelnuovo_split, dimension
@@ -127,6 +128,8 @@ def _check_prime_bounds(specs, primes) -> None:
         mults = [pt.multiplicity for pt in spec.points]
         bound = max([spec.d] + mults)
         for p in primes:
+            if p >= MAX_MODULUS:
+                raise UsageError(f"prime {p} must be below {MAX_MODULUS}")
             if p <= bound:
                 raise UsageError(
                     f"prime {p} must exceed max(degree, multiplicities) = {bound}"
@@ -338,6 +341,17 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: send the flush at exit to devnull, print no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _main(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,8 +1,9 @@
 """Exact linear algebra over prime fields.
 
 Matrices are dense int64 numpy arrays with entries reduced mod p. Elimination
-uses modular inverses (``pow(x, -1, p)``), so everything stays integral; the
-deferred products never leave int64 range because 65521^2 * rows fits easily.
+uses modular inverses (``pow(x, -1, p)``), so everything stays integral; every
+product of two residues, and a residue minus such a product, stays in int64
+range because p < MAX_MODULUS.
 """
 
 from __future__ import annotations
@@ -12,6 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_PRIMES = (32003, 65521)
+
+# p < 2^31 keeps (p-1)^2 < 2^62: an int64 product of two residues, and a residue
+# minus such a product, cannot overflow. Sums of products need their own bound.
+MAX_MODULUS = 2**31
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -42,13 +47,15 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """An odd prime modulus, validated at construction."""
+    """An odd prime modulus below MAX_MODULUS, validated at construction."""
 
     p: int
 
     def __post_init__(self) -> None:
         if self.p <= 2 or not is_prime(self.p):
             raise ValueError(f"modulus must be an odd prime, got {self.p}")
+        if self.p >= MAX_MODULUS:
+            raise ValueError(f"modulus {self.p} must be below {MAX_MODULUS} for int64 products")
 
     def inv(self, x: int) -> int:
         return pow(x % self.p, -1, self.p)

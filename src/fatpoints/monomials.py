@@ -4,16 +4,20 @@ multiple points and tangent directions.
 A degree-d form on P^n is a coefficient vector over the graded-lex basis
 (x_0 > x_1 > ... > x_n); every report prints coefficients in this order.
 Rows are residues mod p and assume p > d so the scaled derivative conditions
-stay faithful (no division by alpha! anywhere).
+stay faithful (derivative rows are not divided by alpha!; tangent rows divide
+by alpha! only for |alpha| = m < p). Residues are multiplied pairwise in int64,
+which is exact because every modulus is below ffield.MAX_MODULUS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, factorial, prod
 
 import numpy as np
+
+from .ffield import MAX_MODULUS
 
 
 def _exponents(n: int, d: int) -> tuple[tuple[int, ...], ...]:
@@ -70,85 +74,59 @@ class MonomialBasis:
         return len(self.exponents) == comb(self.n + self.d, self.n)
 
 
-def _falling(b: int, a: int) -> int:
-    if a > b:
-        return 0
-    v = 1
-    for t in range(a):
-        v *= b - t
-    return v
+def point_rows(basis: MonomialBasis, pt, m: int, directions, p: int) -> np.ndarray:
+    """All condition rows of an m-fold point pt with tangent directions, as one block.
 
-
-def derivative_row(basis: MonomialBasis, alpha, pt, p: int) -> np.ndarray:
-    """Row of (d/dx)^alpha applied to each basis monomial, evaluated at pt.
-
-    Vanishing of the rows over all |alpha| <= m-1 expresses multiplicity >= m
-    at pt; the rows with |alpha| = m-1 alone suffice for p > d by the Euler
-    relation, and those are what condition matrices stack.
+    First one row per alpha in monomial_basis(n, m-1), in that order: (d/dx)^alpha
+    of each basis monomial at pt (multiplicity >= m, by the Euler relation as p > d).
+    Then one row per direction v: the coefficient of t^m in each monomial at pt + t*v,
+    i.e. the sum over |alpha| = m of v^alpha / alpha! times the order-m derivative
+    rows; with the point rows it puts v in the tangent cone. v must not be
+    proportional to pt.
     """
-    alpha = tuple(int(x) for x in alpha)
-    if len(alpha) != basis.n + 1:
-        raise ValueError("derivative order must have n+1 components")
-    if any(a < 0 for a in alpha):
-        raise ValueError("derivative order components must be >= 0")
-    if sum(alpha) >= p:
-        raise ValueError(f"derivative order |alpha|={sum(alpha)} must be < p={p}")
+    n, d = basis.n, basis.d
+    if not 1 <= m < p < MAX_MODULUS:
+        raise ValueError(f"need 1 <= m < p < {MAX_MODULUS}, got m={m}, p={p}")
     pt = np.asarray(pt, dtype=np.int64) % p
-    pw = _power_table(pt, basis.d, p)
-    row = np.empty(len(basis), dtype=np.int64)
-    for j, beta in enumerate(basis.exponents):
-        v = 1
-        for i, (bi, ai) in enumerate(zip(beta, alpha)):
-            if bi < ai:
-                v = 0
-                break
-            v = v * (_falling(bi, ai) % p) % p * int(pw[i, bi - ai]) % p
-        row[j] = v
-    return row
-
-
-def tangent_direction_row(basis: MonomialBasis, pt, v, m: int, p: int) -> np.ndarray:
-    """Value at v of the order-m leading form of each monomial expanded at pt.
-
-    Entry j is the coefficient of t^m in m_j(pt + t*v), i.e. the alpha!-scaled
-    polarization sum over |alpha| = m. Together with the multiplicity-m rows at
-    pt, vanishing states that the tangent cone at pt contains the direction v.
-    Well defined modulo adding multiples of pt to v once multiplicity rows are
-    imposed; requires v not proportional to pt.
-    """
-    if m >= p:
-        raise ValueError(f"multiplicity m={m} must be < p={p}")
-    if m < 1:
-        raise ValueError(f"multiplicity m={m} must be >= 1")
-    pt = np.asarray(pt, dtype=np.int64) % p
-    v = np.asarray(v, dtype=np.int64) % p
-    if _proportional(pt, v, p):
+    if pt.shape != (n + 1,):
+        raise ValueError(f"point must have n+1={n + 1} coordinates")
+    vs = [np.asarray(v, dtype=np.int64) % p for v in directions]
+    if any(_proportional(pt, v, p) for v in vs):
         raise ValueError("direction vector is proportional to the base point")
-    pw_pt = _power_table(pt, basis.d, p)
-    pw_v = _power_table(v, basis.d, p)
-    row = np.empty(len(basis), dtype=np.int64)
-    for j, beta in enumerate(basis.exponents):
-        # coefficient of t^m in prod_i (pt_i + t v_i)^{beta_i}
-        poly = [1]
-        for i, bi in enumerate(beta):
-            if bi == 0:
-                continue
-            factor = [
-                comb(bi, k) % p * int(pw_pt[i, bi - k]) % p * int(pw_v[i, k]) % p
-                for k in range(bi + 1)
-            ]
-            limit = min(len(poly) + bi, m + 1)
-            conv = [0] * limit
-            for a, ca in enumerate(poly):
-                if ca == 0:
-                    continue
-                for b, cb in enumerate(factor):
-                    if a + b >= limit:
-                        break
-                    conv[a + b] = (conv[a + b] + ca * cb) % p
-            poly = conv
-        row[j] = poly[m] if m < len(poly) else 0
-    return row
+    pw = _power_table(pt, d, p)
+    ff = _falling_table(max(d, m) + 1, p)
+    betas = basis.exponent_array
+
+    def derivatives(order: int) -> np.ndarray:
+        alphas = monomial_basis(n, order).exponent_array
+        block = np.ones((len(alphas), len(betas)), dtype=np.int64)
+        for i in range(n + 1):
+            a, b = alphas[:, i, None], betas[None, :, i]
+            block = block * ff[b, a] % p * pw[i, np.maximum(b - a, 0)] % p
+        return block
+
+    rows = derivatives(m - 1)
+    if not vs:
+        return rows
+    orders = monomial_basis(n, m)
+    # w[v, alpha] = v^alpha / alpha! mod p; alpha! is invertible since m < p
+    vpw = _power_table(np.concatenate(vs), m, p).reshape(len(vs), n + 1, m + 1)
+    w = np.array([pow(prod(map(factorial, a)), -1, p) for a in orders.exponents], dtype=np.int64)
+    for i in range(n + 1):
+        w = w * vpw[:, i, orders.exponent_array[:, i]] % p
+    tangent = (w[:, :, None] * derivatives(m)[None] % p).sum(axis=1) % p
+    return np.vstack([rows, tangent])
+
+
+@lru_cache(maxsize=None)
+def _falling_table(size: int, p: int) -> np.ndarray:
+    """ff[b, a] = b (b-1) ... (b-a+1) mod p, which is 0 for a > b."""
+    ff = np.zeros((size, size), dtype=np.int64)
+    ff[:, 0] = 1
+    for b in range(1, size):
+        ff[b, 1:] = ff[b - 1, :-1] * b % p
+    ff.setflags(write=False)
+    return ff
 
 
 def eval_form(coeffs, basis: MonomialBasis, pt, p: int) -> int:
@@ -168,6 +146,8 @@ def evaluate_basis(basis: MonomialBasis, pts: np.ndarray, p: int) -> np.ndarray:
     degree (each monomial is a parent of one degree lower times one variable),
     which keeps the census hot path at one gather and one multiply per column.
     """
+    if p >= MAX_MODULUS:
+        raise ValueError(f"modulus {p} must be below {MAX_MODULUS} for int64 products")
     pts = np.asarray(pts, dtype=np.int64) % p
     if basis.d == 0:
         return np.ones((pts.shape[0], 1), dtype=np.int64)

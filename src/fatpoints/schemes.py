@@ -21,12 +21,7 @@ import numpy as np
 
 from .ffield import DEFAULT_PRIMES, FieldMatrix, PrimeField, rank
 from .formulas import AH_SPORADIC
-from .monomials import (
-    _proportional,
-    derivative_row,
-    monomial_basis,
-    tangent_direction_row,
-)
+from .monomials import _proportional, monomial_basis, point_rows
 
 GENERIC = "generic"
 SUBSPACE = "subspace"
@@ -326,13 +321,10 @@ def condition_matrix(spec: SchemeSpec, prime: int, seed: int) -> FieldMatrix:
     sm = sample(spec, prime, seed)
     p = sm.prime
     basis = monomial_basis(spec.n, spec.d)
-    rows: list[np.ndarray] = []
-    for pt, coords, vecs in zip(spec.points, sm.points, sm.directions):
-        m = pt.multiplicity
-        for alpha in monomial_basis(spec.n, m - 1).exponents:
-            rows.append(derivative_row(basis, alpha, coords, p))
-        for v in vecs:
-            rows.append(tangent_direction_row(basis, coords, v, m, p))
+    rows = [
+        point_rows(basis, coords, pt.multiplicity, vecs, p)
+        for pt, coords, vecs in zip(spec.points, sm.points, sm.directions)
+    ]
     if not rows:
         return FieldMatrix(np.zeros((0, len(basis)), dtype=np.int64), p)
     return FieldMatrix(np.vstack(rows), p)

@@ -232,7 +232,8 @@ def _op_cubic_flag(case, primes, seeds, budget) -> dict:
     stacked = np.vstack(forms)
     for _ in range(8):
         w = rng.integers(1, p, len(forms))
-        members.append(w @ stacked % p)
+        # reduce per term: an int64 sum of products of residues can overflow
+        members.append((w[:, None] * stacked % p).sum(axis=0) % p)
     ranks = [quadric_rank(f, basis2, p) for f in members]
     return {
         "dim": obs["computed"],

@@ -1,6 +1,10 @@
+import json
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
+from fatpoints import census
 from fatpoints.census import (
     CENSUS_PRIMES,
     FiberCensus,
@@ -15,6 +19,7 @@ from fatpoints.census import (
     quadric_rank,
 )
 from fatpoints.census import _projective_chunks
+from fatpoints.cli import main
 from fatpoints.grammar import parse_spec
 from fatpoints.monomials import monomial_basis
 
@@ -126,6 +131,29 @@ def test_census_for_doubles_cached_and_sane():
     assert a.base_points >= 6
     assert a.verdict == "birational"
     assert a.fraction_unique > 0.95
+
+
+def test_failed_sanity_check_is_a_domain_error(monkeypatch, capsys):
+    def no_base_points(m, budget):
+        n = projective_count(m.n, m.prime)
+        return FiberCensus(m.prime, n, 0, n, {1: n}, 1.0, "birational")
+
+    monkeypatch.setattr(census, "fiber_census", no_base_points)
+    # a fresh cache, so that no earlier census answers for the stub
+    fresh = lru_cache(maxsize=None)(census._census_cached.__wrapped__)
+    monkeypatch.setattr(census, "_census_cached", fresh)
+    with pytest.raises(ValueError, match="census found 0"):
+        census_for_doubles(1, 5, 2, 499)
+    assert main(["identif", "--n", "1", "--d", "5", "--json"]) == 1
+    assert "census found 0" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_fiber_census_refuses_overflowing_sums():
+    # 4 products of residues near 2^31 overflow an int64 sum
+    p = 2147483647
+    coeffs = np.eye(2, 4, dtype=np.int64)
+    with pytest.raises(ValueError, match="overflow"):
+        fiber_census(RationalMap(1, 3, p, 0, coeffs))
 
 
 def test_identifiability_statuses():

@@ -86,6 +86,9 @@ def test_prime_bound_usage_error(capsys):
     code, _, err = run(capsys, ["dim", "L(2,4;2^5)", "--prime", "3"])
     assert code == 2
     assert "prime 3 must exceed max(degree, multiplicities) = 4" in err
+    code, out, err = run(capsys, ["dim", "L(2,4;2^5)", "--prime", "4294967311"])
+    assert code == 2 and out == ""
+    assert "prime 4294967311 must be below 2147483648" in err
 
 
 def test_seq_output(capsys):
@@ -210,12 +213,16 @@ def test_argparse_exits():
     assert main(["dim", "L(2,3;2)", "--no-such-flag"]) == 2
 
 
-def test_module_and_script_entry_points():
-    # Both subprocesses run the checkout under test: PYTHONPATH is led by the
+def _checkout_env() -> tuple[Path, dict]:
+    # Subprocesses run the checkout under test: PYTHONPATH is led by the
     # directory holding the imported package, so no installed copy is used.
     src_dir = Path(fatpoints.__file__).resolve().parent.parent
     pythonpath = filter(None, [str(src_dir), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+    return src_dir, {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+
+
+def test_module_and_script_entry_points():
+    src_dir, env = _checkout_env()
     out = subprocess.run(
         [sys.executable, "-m", "fatpoints", "dim", "L(3,3;2^4)"],
         capture_output=True,
@@ -241,3 +248,21 @@ def test_module_and_script_entry_points():
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == f"fatpoints {project['version']}"
     assert out.stdout.strip().endswith("0.1.0")
+
+
+def test_closed_pipe_exits_without_traceback():
+    _, env = _checkout_env()
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "fatpoints", "dim", "L(2,4;2^5)", "--json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in out.stderr
+    assert out.returncode == 1

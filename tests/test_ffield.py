@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fatpoints.ffield import (
     DEFAULT_PRIMES,
+    MAX_MODULUS,
     FieldMatrix,
     PrimeField,
     is_prime,
@@ -31,6 +32,16 @@ def test_prime_field_rejects_composites():
         PrimeField(2)
     f = PrimeField(13)
     assert f.inv(5) * 5 % 13 == 1
+
+
+def test_prime_field_rejects_moduli_beyond_int64_range():
+    # (p-1)^2 must fit int64 with room for a subtraction
+    assert (MAX_MODULUS - 1) ** 2 < 2**62
+    assert PrimeField(2147483647).p == MAX_MODULUS - 1
+    with pytest.raises(ValueError):
+        PrimeField(4294967311)
+    with pytest.raises(ValueError):
+        rank(FieldMatrix([[1, 2], [2, 4]], 4294967311))
 
 
 def test_field_matrix_reduces_entries():

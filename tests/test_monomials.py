@@ -1,17 +1,12 @@
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fatpoints.monomials import (
-    derivative_row,
-    eval_form,
-    evaluate_basis,
-    monomial_basis,
-    tangent_direction_row,
-)
+from fatpoints.ffield import FieldMatrix, rank
+from fatpoints.monomials import eval_form, evaluate_basis, monomial_basis, point_rows
 
 P = 32003
 
@@ -47,18 +42,19 @@ def test_basis_rejects_bad_args():
 def test_order_zero_row_is_evaluation():
     b = monomial_basis(3, 4)
     pt = np.array([3, 1, 4, 1], dtype=np.int64)
-    row = derivative_row(b, (0, 0, 0, 0), pt, P)
-    assert np.array_equal(row, evaluate_basis(b, pt.reshape(1, -1), P)[0])
+    rows = point_rows(b, pt, 1, (), P)
+    assert np.array_equal(rows, evaluate_basis(b, pt.reshape(1, -1), P))
 
 
 def test_top_order_rows_are_constant():
+    # m = d+1: the order-d derivative rows are alpha! times the unit vectors
     b = monomial_basis(2, 3)
-    alpha = (1, 1, 1)
-    r1 = derivative_row(b, alpha, (1, 2, 3), P)
-    r2 = derivative_row(b, alpha, (9, 8, 7), P)
+    r1 = point_rows(b, (1, 2, 3), 4, (), P)
+    r2 = point_rows(b, (9, 8, 7), 4, (), P)
     assert np.array_equal(r1, r2)
-    expect = np.zeros(len(b), dtype=np.int64)
-    expect[b.index_of(alpha)] = factorial(1) ** 3 % P
+    expect = np.zeros((len(b), len(b)), dtype=np.int64)
+    for i, alpha in enumerate(b.exponents):
+        expect[i, b.index_of(alpha)] = prod(map(factorial, alpha)) % P
     assert np.array_equal(r1, expect)
 
 
@@ -66,8 +62,9 @@ def test_first_derivative_hand_example():
     # d/dx0 on the degree-2 plane monomials at pt = (a, b, c)
     b = monomial_basis(2, 2)
     a, bb, c = 5, 11, 2
-    row = derivative_row(b, (1, 0, 0), (a, bb, c), 101)
-    lut = {e: v for e, v in zip(b.exponents, row)}
+    rows = point_rows(b, (a, bb, c), 2, (), 101)
+    assert monomial_basis(2, 1).exponents[0] == (1, 0, 0)
+    lut = {e: v for e, v in zip(b.exponents, rows[0])}
     assert lut[(2, 0, 0)] == 2 * a % 101
     assert lut[(1, 1, 0)] == bb
     assert lut[(1, 0, 1)] == c
@@ -79,11 +76,13 @@ def test_first_derivative_hand_example():
 def test_derivative_row_rejects_bad_orders():
     b = monomial_basis(2, 3)
     with pytest.raises(ValueError):
-        derivative_row(b, (1, 0), (1, 2, 3), P)
+        point_rows(b, (1, 2), 2, (), P)  # point with n coordinates
     with pytest.raises(ValueError):
-        derivative_row(b, (1, -1, 0), (1, 2, 3), P)
+        point_rows(b, (1, 2, 3), 0, (), P)  # derivative order m-1 = -1
     with pytest.raises(ValueError):
-        derivative_row(b, (3, 2, 2), (1, 2, 3), 7)
+        point_rows(b, (1, 2, 3), 7, (), 7)  # multiplicity not below p
+    with pytest.raises(ValueError):
+        point_rows(b, (1, 2, 3), 2, (), 4294967311)  # int64 products overflow
 
 
 def test_order_one_leading_form_is_the_differential():
@@ -91,32 +90,33 @@ def test_order_one_leading_form_is_the_differential():
     rng = np.random.default_rng(7)
     pt = rng.integers(1, P, 4)
     v = rng.integers(1, P, 4)
-    lead = tangent_direction_row(b, pt, v, 1, P)
+    lead = point_rows(b, pt, 1, (v,), P)[-1]
+    firsts = point_rows(b, pt, 2, (), P)  # d/dx_0, ..., d/dx_3 in basis order
     diff = np.zeros(len(b), dtype=np.int64)
     for i in range(4):
-        e = tuple(1 if j == i else 0 for j in range(4))
-        diff = (diff + int(v[i]) * derivative_row(b, e, pt, P)) % P
+        diff = (diff + int(v[i]) * firsts[i]) % P
     assert np.array_equal(lead, diff)
 
 
 def test_leading_form_matches_scaled_derivatives():
     # coeff of t^m in m_j(pt + t v) equals sum over |alpha| = m of
-    # D^alpha m_j(pt) v^alpha / alpha!, computed by a separate code path
+    # D^alpha m_j(pt) v^alpha / alpha!, with the order-m rows of an (m+1)-fold point
     n, d, m = 2, 4, 2
     b = monomial_basis(n, d)
     rng = np.random.default_rng(19)
     pt = rng.integers(1, P, n + 1)
     v = rng.integers(1, P, n + 1)
-    lead = tangent_direction_row(b, pt, v, m, P)
+    lead = point_rows(b, pt, m, (v,), P)[-1]
+    derivs = point_rows(b, pt, m + 1, (), P)
     acc = np.zeros(len(b), dtype=np.int64)
-    for alpha in monomial_basis(n, m).exponents:
+    for alpha, row in zip(monomial_basis(n, m).exponents, derivs):
         fact = 1
         va = 1
         for ai, vi in zip(alpha, v):
             fact = fact * factorial(ai) % P
             va = va * pow(int(vi), ai, P) % P
         w = va * pow(fact, -1, P) % P
-        acc = (acc + w * derivative_row(b, alpha, pt, P)) % P
+        acc = (acc + w * row) % P
     assert np.array_equal(lead, acc)
 
 
@@ -130,7 +130,7 @@ def test_taylor_expansion_identity():
     coeffs = rng.integers(0, P, len(b))
     taylor = [int(evaluate_basis(b, pt.reshape(1, -1), P)[0] @ coeffs % P)]
     taylor += [
-        int(tangent_direction_row(b, pt, v, m, P) @ coeffs % P) for m in range(1, d + 1)
+        int(point_rows(b, pt, m, (v,), P)[-1] @ coeffs % P) for m in range(1, d + 1)
     ]
     for t in (1, 2, 17, 4321):
         direct = eval_form(coeffs, b, (pt + t * v) % P, P)
@@ -143,7 +143,7 @@ def test_taylor_expansion_identity():
 def test_top_leading_form_at_vertex_evaluates_the_direction():
     b = monomial_basis(2, 3)
     v = np.array([4, 9, 25], dtype=np.int64)
-    row = tangent_direction_row(b, (1, 0, 0), v, 3, P)
+    row = point_rows(b, (1, 0, 0), 3, (v,), P)[-1]
     assert np.array_equal(row, evaluate_basis(b, v.reshape(1, -1), P)[0])
 
 
@@ -153,28 +153,22 @@ def test_direction_row_extends_double_point_rank_by_one():
         rng = np.random.default_rng(5)
         pt = rng.integers(1, p, 4)
         v = rng.integers(1, p, 4)
-        rows = [
-            derivative_row(b, e, pt, p)
-            for e in monomial_basis(3, 1).exponents
-        ]
-        from fatpoints.ffield import FieldMatrix, rank
-
-        base = rank(FieldMatrix(np.array(rows), p))
-        assert base == 4
-        rows.append(tangent_direction_row(b, pt, v, 2, p))
-        assert rank(FieldMatrix(np.array(rows), p)) == 5
+        rows = point_rows(b, pt, 2, (v,), p)
+        assert rows.shape == (5, len(b))
+        assert rank(FieldMatrix(rows[:4], p)) == 4
+        assert rank(FieldMatrix(rows, p)) == 5
 
 
 def test_direction_row_rejections():
     b = monomial_basis(2, 3)
     with pytest.raises(ValueError):
-        tangent_direction_row(b, (1, 2, 3), (2, 4, 6), 2, P)
+        point_rows(b, (1, 2, 3), 2, [(2, 4, 6)], P)
     with pytest.raises(ValueError):
-        tangent_direction_row(b, (1, 2, 3), (0, 0, 0), 2, P)
+        point_rows(b, (1, 2, 3), 2, [(1, 1, 1), (0, 0, 0)], P)
     with pytest.raises(ValueError):
-        tangent_direction_row(b, (1, 2, 3), (1, 1, 1), 7, 7)
+        point_rows(b, (1, 2, 3), 7, [(1, 1, 1)], 7)
     with pytest.raises(ValueError):
-        tangent_direction_row(b, (1, 2, 3), (1, 1, 1), 0, P)
+        point_rows(b, (1, 2, 3), 0, [(1, 1, 1)], P)
 
 
 def test_evaluate_basis_against_direct_powers():
@@ -195,6 +189,15 @@ def test_eval_form_rejects_zero_point():
     b = monomial_basis(2, 2)
     with pytest.raises(ValueError):
         eval_form(np.ones(len(b), dtype=np.int64), b, (0, 0, 0), P)
+
+
+def test_evaluation_refuses_moduli_beyond_int64_range():
+    # residue products mod 4294967311 overflow int64 and came out wrong
+    b = monomial_basis(2, 3)
+    with pytest.raises(ValueError):
+        eval_form(np.ones(len(b), dtype=np.int64), b, (1, 2, 3), 4294967311)
+    with pytest.raises(ValueError):
+        evaluate_basis(b, np.ones((1, 3), dtype=np.int64), 4294967311)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,0 +1,134 @@
+"""Condition rows against a scalar oracle in Python integers.
+
+The oracle evaluates each entry from its definition and reduces mod p only at
+the end: a derivative row entry is D^alpha x^beta at the point, a tangent row
+entry is the coefficient of t^m in x^beta(pt + t*v), expanded by polynomial
+multiplication. The basis order is enumerated here too (graded lex, x_0 first).
+"""
+
+from functools import lru_cache
+from itertools import product
+from math import comb
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fatpoints.grammar import parse_spec
+from fatpoints.monomials import monomial_basis, point_rows
+from fatpoints.schemes import (
+    FatPoint,
+    Placement,
+    SchemeSpec,
+    condition_matrix,
+    double_points,
+    sample,
+)
+from fatpoints.suites import flagged_system
+
+PRIMES = (32003, 65521, 2147483647)
+
+
+@lru_cache(maxsize=None)
+def graded_lex(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    exps = (e for e in product(range(d + 1), repeat=n + 1) if sum(e) == d)
+    return tuple(sorted(exps, reverse=True))
+
+
+def falling(b: int, a: int) -> int:
+    v = 1
+    for t in range(a):
+        v *= b - t  # hits the factor 0 when a > b
+    return v
+
+
+def derivative_row(n, d, alpha, pt, p):
+    row = []
+    for beta in graded_lex(n, d):
+        v = 1
+        for b, a, x in zip(beta, alpha, pt):
+            v *= falling(b, a) * int(x) ** max(b - a, 0)
+        row.append(v % p)
+    return row
+
+
+def tangent_row(n, d, pt, v, m, p):
+    row = []
+    for beta in graded_lex(n, d):
+        poly = [1]  # coefficients in t of prod_i (pt_i + t v_i)^beta_i
+        for b, x, y in zip(beta, pt, v):
+            factor = [comb(b, k) * int(x) ** (b - k) * int(y) ** k for k in range(b + 1)]
+            out = [0] * (len(poly) + b)
+            for i, c in enumerate(poly):
+                for j, f in enumerate(factor):
+                    out[i + j] += c * f
+            poly = out
+        row.append(poly[m] % p if m < len(poly) else 0)
+    return row
+
+
+def oracle_rows(n, d, pt, m, directions, p):
+    rows = [derivative_row(n, d, alpha, pt, p) for alpha in graded_lex(n, m - 1)]
+    rows += [tangent_row(n, d, pt, v, m, p) for v in directions]
+    return np.array(rows, dtype=np.int64).reshape(-1, comb(n + d, n))
+
+
+def proportional(a, b, p) -> bool:
+    a = [int(x) % p for x in a]
+    b = [int(x) % p for x in b]
+    if not any(a) or not any(b):
+        return True
+    return all((a[i] * b[j] - a[j] * b[i]) % p == 0 for i in range(len(a)) for j in range(i))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_point_rows_match_scalar_oracle(data):
+    n = data.draw(st.integers(1, 5), label="n")
+    d = data.draw(st.integers(0, 8), label="d")
+    m = data.draw(st.integers(1, d + 1), label="m")
+    p = data.draw(st.sampled_from(PRIMES), label="p")
+    vec = st.lists(st.integers(0, p - 1), min_size=n + 1, max_size=n + 1)
+    pt = data.draw(vec.filter(any), label="pt")
+    dirs = data.draw(st.lists(vec, max_size=2), label="directions")
+    basis = monomial_basis(n, d)
+    if any(proportional(pt, v, p) for v in dirs):
+        with pytest.raises(ValueError):
+            point_rows(basis, pt, m, dirs, p)
+        return
+    got = point_rows(basis, pt, m, dirs, p)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, oracle_rows(n, d, pt, m, dirs, p))
+
+
+def _explicit_limit() -> SchemeSpec:
+    # a triple point with explicit chord directions, as collision1_check builds it
+    pts = [(1, 5, 9, 2), (1, 7, 3, 8), (1, 4, 4, 6), (1, 2, 8, 1)]
+    dirs = tuple(
+        Placement.explicit([0] + [(a - b) % 32003 for a, b in zip(pts[i][1:], pts[j][1:])])
+        for i in range(4)
+        for j in range(i + 1, 4)
+    )
+    return SchemeSpec(3, 4, (FatPoint(Placement.explicit(pts[0]), 3, dirs),))
+
+
+ROW_KINDS = {
+    "double": double_points(3, 4, 9),
+    "triple": parse_spec("L(3,3;3,2^3)"),
+    "generic-directions": parse_spec("L(5,4;3[15],2^14)"),
+    "subspace": flagged_system(5, 4),
+    "explicit": _explicit_limit(),
+    "cluster": parse_spec("L(3,4;2,2@pt0,2[1@pt0],2[2@pt1])"),
+}
+
+
+@pytest.mark.parametrize("kind", ROW_KINDS)
+def test_condition_matrix_matches_oracle_stacking(kind):
+    spec, p, seed = ROW_KINDS[kind], 32003, 0
+    sm = sample(spec, p, seed)
+    blocks = [
+        oracle_rows(spec.n, spec.d, coords, pt.multiplicity, vecs, p)
+        for pt, coords, vecs in zip(spec.points, sm.points, sm.directions)
+    ]
+    assert np.array_equal(condition_matrix(spec, p, seed).a, np.vstack(blocks))

@@ -199,6 +199,13 @@ def test_sporadic_quartic_has_dimension_zero():
     assert (rep.computed, rep.expected, rep.special) == (0, -1, True)
 
 
+def test_sporadic_plane_quartic_at_the_largest_modulus():
+    spec = double_points(2, 4, 5)
+    assert dimension(spec, (2147483647,), (0, 1)).computed == 0
+    with pytest.raises(ValueError):
+        dimension(spec, (4294967311,), (0, 1))
+
+
 def test_double_points_builder():
     spec = double_points(3, 4, 6)
     assert (spec.n, spec.d) == (3, 4)
