@@ -1,9 +1,9 @@
 """Rational maps from n-dimensional linear systems and their exhaustive
 fiber census over P^n(F_p).
 
-The census enumerates every point of P^n(F_p) in canonical representatives
-(first nonzero coordinate 1), evaluates all n+1 forms, drops base points,
-and buckets the normalized images. Generic fiber size 1 across two primes is
+The census evaluates all n+1 forms on every point of P^n(F_p), chart by chart
+as grids of canonical representatives (first nonzero coordinate 1), drops base
+points, and buckets the normalized images. Generic fiber size 1 across two primes is
 the working notion of birationality; a small image signals fiber type.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .ffield import FieldMatrix, is_prime, kernel_basis, rank
 from .formulas import is_perfect, k
-from .monomials import MonomialBasis, evaluate_basis, monomial_basis
+from .monomials import MonomialBasis, _power_table, monomial_basis
 from .schemes import SchemeSpec, condition_matrix, double_points
 
 DEFAULT_BUDGET = 1e10
@@ -93,22 +93,42 @@ class FiberCensus:
         }
 
 
-def _projective_chunks(n: int, p: int, chunk: int = _CHUNK):
-    """Canonical representatives of P^n(F_p): lead coordinate 1, zeros before."""
+def _chart_images(m: RationalMap, chunk: int = _CHUNK):
+    """The n+1 forms on P^n(F_p), chart by chart, in chunks of points.
+
+    Chart lead = k is x_0..x_{k-1} = 0, x_k = 1 over F_p^{n-k} (x_n fastest). Its
+    forms, a tensor over the exponents of x_{k+1}..x_n, are contracted one variable
+    at a time against V[e, x] = x^e mod p, reduced after each stage of d+1 residue
+    products: once per chart for the trailing variables whose grid fits in a chunk,
+    then per value of each leading variable, one chunk per leading point.
+    """
+    n, d, p = m.n, m.d, m.prime
+    size = d + 1
+    vand = _power_table(np.arange(p, dtype=np.int64), d, p).T
+    exps = m.basis.exponent_array
     for lead in range(n + 1):
         free = n - lead
-        total = p**free
-        start = 0
-        while start < total:
-            count = min(chunk, total - start)
-            idx = np.arange(start, start + count, dtype=np.int64)
-            pts = np.zeros((count, n + 1), dtype=np.int64)
-            pts[:, lead] = 1
-            for j in range(n, lead, -1):
-                idx, digit = np.divmod(idx, p)
-                pts[:, j] = digit
-            yield pts
-            start += count
+        trail = min(free, 1)
+        while trail < free and p ** (trail + 1) <= chunk:
+            trail += 1
+        keep = ~exps[:, :lead].any(axis=1)
+        flat = exps[keep, lead + 1 :] @ size ** np.arange(free - 1, -1, -1)
+        tensor = np.zeros((n + 1, size**free), dtype=np.int64)
+        tensor[:, flat] = m.coeffs[:, keep] % p
+        # axes: leading exponents, forms, trailing exponents
+        lead_axes = free - trail
+        tensor = np.moveaxis(tensor.reshape((n + 1,) + (size,) * free), 0, lead_axes)
+        for _ in range(trail):
+            tensor = np.tensordot(tensor, vand, axes=([lead_axes + 1], [0])) % p
+        yield from _leading_values(tensor.reshape(tensor.shape[: lead_axes + 1] + (-1,)), vand, p)
+
+
+def _leading_values(tensor: np.ndarray, vand: np.ndarray, p: int):
+    if tensor.ndim == 2:
+        yield tensor.T
+    else:
+        for column in vand.T:
+            yield from _leading_values(np.tensordot(column, tensor, axes=1) % p, vand, p)
 
 
 def _normalize_rows(vals: np.ndarray, p: int, inv_table: np.ndarray) -> np.ndarray:
@@ -128,19 +148,19 @@ def fiber_census(m: RationalMap, budget: float = DEFAULT_BUDGET) -> FiberCensus:
             f"census cost {cost:.2e} exceeds budget {budget:.0e}; "
             f"largest affordable prime is ~{smaller}"
         )
-    if len(m.basis) * (p - 1) ** 2 >= 2**63:
-        # each image coordinate is an int64 sum of |basis| residue products
-        raise ValueError(f"int64 sums of {len(m.basis)} residue products overflow at p={p}")
+    if (m.d + 1) * (p - 1) ** 2 >= 2**63:
+        # each evaluation stage is an int64 sum of d+1 residue products
+        raise ValueError(f"int64 sums of {m.d + 1} residue products overflow at p={p}")
+    if p ** (n + 1) > 2**63:
+        # image keys run up to p^(n+1) - 1
+        raise ValueError(f"int64 image keys overflow at p={p}, n={n}")
     inv_table = np.zeros(p, dtype=np.int64)
     inv_table[1:] = np.array([pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
     weights = (p ** np.arange(n, -1, -1)).astype(np.int64)
 
     base = 0
     key_chunks: list[np.ndarray] = []
-    coeffs_t = m.coeffs.T.copy()
-    for pts in _projective_chunks(n, p):
-        vals = evaluate_basis(m.basis, pts, p)
-        imgs = vals @ coeffs_t % p
+    for imgs in _chart_images(m):
         nonbase = imgs.any(axis=1)
         base += int(len(imgs) - nonbase.sum())
         imgs = imgs[nonbase]

@@ -147,7 +147,7 @@ def kernel_basis(m: FieldMatrix) -> list[np.ndarray]:
     else:
         red, piv = _eliminate(m.a.copy(), p, reduce_above=True)
         pivots = list(piv)
-    free = [c for c in range(m.cols) if c not in set(pivots)]
+    free = sorted(set(range(m.cols)) - set(pivots))
     basis = []
     for f in free:
         v = np.zeros(m.cols, dtype=np.int64)

@@ -142,37 +142,17 @@ def eval_form(coeffs, basis: MonomialBasis, pt, p: int) -> int:
 def evaluate_basis(basis: MonomialBasis, pts: np.ndarray, p: int) -> np.ndarray:
     """Evaluate every basis monomial on a batch of points.
 
-    pts has shape (N, n+1); the result has shape (N, |basis|). Built degree by
-    degree (each monomial is a parent of one degree lower times one variable),
-    which keeps the census hot path at one gather and one multiply per column.
+    pts has shape (N, n+1); the result has shape (N, |basis|), the product over
+    the variables of each point's power table gathered at the basis exponents.
     """
     if p >= MAX_MODULUS:
         raise ValueError(f"modulus {p} must be below {MAX_MODULUS} for int64 products")
     pts = np.asarray(pts, dtype=np.int64) % p
-    if basis.d == 0:
-        return np.ones((pts.shape[0], 1), dtype=np.int64)
-    prev = pts.copy()  # degree-1 values, basis order = coordinate order
-    for deg in range(2, basis.d + 1):
-        parent_idx, var_idx = _build_steps(basis.n, deg)
-        prev = prev[:, parent_idx] * pts[:, var_idx] % p
-    return prev
-
-
-@lru_cache(maxsize=None)
-def _build_steps(n: int, deg: int) -> tuple[np.ndarray, np.ndarray]:
-    """(parent index in degree-(deg-1) basis, variable index) per monomial."""
-    lower = monomial_basis(n, deg - 1)
-    cur = monomial_basis(n, deg)
-    parents = np.empty(len(cur), dtype=np.intp)
-    variables = np.empty(len(cur), dtype=np.intp)
-    for j, beta in enumerate(cur.exponents):
-        i = next(t for t, e in enumerate(beta) if e > 0)
-        parent = beta[:i] + (beta[i] - 1,) + beta[i + 1 :]
-        parents[j] = lower.index_of(parent)
-        variables[j] = i
-    parents.setflags(write=False)
-    variables.setflags(write=False)
-    return parents, variables
+    pw = _power_table(pts.ravel(), basis.d, p).reshape(*pts.shape, basis.d + 1)
+    vals = np.ones((len(pts), len(basis)), dtype=np.int64)
+    for i, col in enumerate(basis.exponent_array.T):
+        vals = vals * pw[:, i, col] % p
+    return vals
 
 
 def _power_table(vec: np.ndarray, d: int, p: int) -> np.ndarray:

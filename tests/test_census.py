@@ -1,8 +1,13 @@
 import json
+from collections import Counter
 from functools import lru_cache
+from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fatpoints import census
 from fatpoints.census import (
@@ -18,10 +23,11 @@ from fatpoints.census import (
     projective_count,
     quadric_rank,
 )
-from fatpoints.census import _projective_chunks
+from fatpoints.census import _chart_images
 from fatpoints.cli import main
 from fatpoints.grammar import parse_spec
 from fatpoints.monomials import monomial_basis
+from fatpoints.schemes import double_points
 
 
 def test_projective_count():
@@ -30,14 +36,75 @@ def test_projective_count():
     assert projective_count(3, 2) == 15
 
 
-def test_projective_chunks_enumerate_canonical_reps():
-    pts = np.vstack(list(_projective_chunks(2, 7, chunk=10)))
-    assert len(pts) == projective_count(2, 7) == 57
-    for row in pts:
-        nz = np.nonzero(row)[0]
-        assert row[nz[0]] == 1
-    keys = {tuple(r) for r in pts}
-    assert len(keys) == 57
+def canonical_points(n, p):
+    """P^n(F_p) chart by chart (first nonzero coordinate 1), last coordinate fastest."""
+    for lead in range(n + 1):
+        for free in product(range(p), repeat=n - lead):
+            yield (0,) * lead + (1,) + free
+
+
+def python_images(m, pt):
+    """The n+1 forms at one point, in Python integers, reduced at the end."""
+    monos = [1] * len(m.basis)
+    for j, beta in enumerate(m.basis.exponents):
+        for x, b in zip(pt, beta):
+            monos[j] *= x**b
+    return tuple(sum(int(c) * v for c, v in zip(row, monos)) % m.prime for row in m.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_chart_images_match_python_evaluation(data):
+    n = data.draw(st.integers(1, 4), label="n")
+    d = data.draw(st.integers(1, 5), label="d")
+    # keep the Python oracle to about 1e5 monomial values
+    fits = [q for q in (5, 7, 11, 13) if projective_count(n, q) * comb(n + d, n) <= 100_000]
+    p = data.draw(st.sampled_from(fits), label="p")
+    chunk = data.draw(st.sampled_from([1, p * p, 1 << 18]), label="chunk")
+    size = comb(n + d, n)
+    entries = st.lists(st.integers(0, p - 1), min_size=size, max_size=size)
+    coeffs = np.array(data.draw(st.lists(entries, min_size=n + 1, max_size=n + 1)), dtype=np.int64)
+    m = RationalMap(n, d, p, 0, coeffs)
+    got = np.vstack(list(_chart_images(m, chunk)))
+    assert len(got) == projective_count(n, p)
+    want = [python_images(m, pt) for pt in canonical_points(n, p)]
+    assert [tuple(map(int, row)) for row in got] == want
+
+
+def python_census(m):
+    """Fiber census by a dictionary of normalised images."""
+    p, base, fibers = m.prime, 0, Counter()
+    for pt in canonical_points(m.n, p):
+        img = python_images(m, pt)
+        lead = next((v for v in img if v), 0)
+        if not lead:
+            base += 1
+            continue
+        inv = pow(lead, -1, p)
+        fibers[tuple(v * inv % p for v in img)] += 1
+    hist = Counter(fibers.values())
+    total = sum(fibers.values())
+    return base, len(fibers), dict(hist), hist[1] / total
+
+
+@pytest.mark.parametrize("n, d, h, p", [(2, 5, 6, 13), (3, 3, 4, 11), (4, 2, None, 5)])
+def test_fiber_census_matches_python_census(n, d, h, p):
+    if h is None:  # random forms
+        coeffs = np.random.default_rng(4).integers(0, p, size=(n + 1, comb(n + d, n)))
+        m = RationalMap(n, d, p, 0, coeffs)
+    else:
+        m = map_from_system(double_points(n, d, h), p, 0)
+    c = fiber_census(m)
+    assert (c.base_points, c.image_size, c.histogram, c.fraction_unique) == python_census(m)
+    assert c.verdict == classify(c)
+
+
+def test_fiber_census_refuses_overflowing_keys():
+    # image keys run up to p^3 > 2^63; refused before the inverse table is built
+    p = next_odd_prime((1 << 21) + 1)
+    coeffs = np.eye(3, dtype=np.int64)
+    with pytest.raises(ValueError, match="keys overflow"):
+        fiber_census(RationalMap(2, 1, p, 0, coeffs), budget=1e20)
 
 
 def test_map_from_system():
