@@ -198,7 +198,8 @@ def _suggest_prime(n: int, basis_size: int, budget: float) -> int:
 
 
 def next_odd_prime(p: int) -> int:
-    q = p + 2
+    """The smallest odd prime above p."""
+    q = p + 1 + p % 2
     while not is_prime(q):
         q += 2
     return q

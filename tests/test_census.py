@@ -179,6 +179,8 @@ def test_next_odd_prime():
     assert next_odd_prime(3) == 5
     assert next_odd_prime(13) == 17
     assert next_odd_prime(31) == 37
+    assert next_odd_prime(2) == 3
+    assert next_odd_prime(1 << 21) == 2097169
 
 
 def test_classify_thresholds():

@@ -10,7 +10,6 @@ from fatpoints.ffield import (
     PrimeField,
     is_prime,
     kernel_basis,
-    nullity,
     rank,
     rref,
 )
@@ -100,7 +99,7 @@ matrices = st.integers(2, 6).flatmap(
 @given(matrices, st.sampled_from(DEFAULT_PRIMES))
 def test_rank_plus_nullity_is_cols(rows, p):
     m = FieldMatrix(rows, p)
-    assert rank(m) + nullity(m) == m.cols
+    assert rank(m) + len(kernel_basis(m)) == m.cols
     assert rank(m) <= min(m.rows, m.cols)
 
 
