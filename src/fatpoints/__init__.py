@@ -8,146 +8,5 @@ all together.
 """
 
 from ._version import __version__
-from .census import (
-    CENSUS_PRIMES,
-    DEFAULT_BUDGET,
-    FiberCensus,
-    IdentifiabilityVerdict,
-    RationalMap,
-    census_for_doubles,
-    classify,
-    fiber_census,
-    identifiability_verdict,
-    map_from_system,
-    projective_count,
-    quadric_rank,
-)
-from .collisions import (
-    ChordTraceReport,
-    CollisionExperiment,
-    LimitMultiplicityReport,
-    collision1_check,
-    indip_check,
-    limit_multiplicity_check,
-)
-from .ffield import DEFAULT_PRIMES, FieldMatrix, PrimeField, is_prime, kernel_basis, rank
-from .formulas import (
-    SequenceTable,
-    a_seq,
-    a_simple,
-    collision_limit_degree,
-    degree_identity,
-    hs_sequences,
-    is_perfect,
-    k,
-    plane_genus,
-    plane_row,
-    r,
-    verify_sequence_properties,
-)
-from .grammar import SpecSemanticError, SpecSyntaxError, parse_spec, print_spec
-from .monomials import MonomialBasis, monomial_basis
-from .schemes import (
-    AHVerdict,
-    DimensionReport,
-    FatPoint,
-    Placement,
-    SchemeSpec,
-    ah_classify,
-    castelnuovo_split,
-    condition_matrix,
-    dimension,
-    double_points,
-    expected_dim,
-    independence_check,
-    sample,
-    virtual_dim,
-)
-from .suites import (
-    SuiteResult,
-    csv_summary,
-    flagged_system,
-    json_report,
-    load_manifest,
-    run_ah_suite,
-    run_prop23_suite,
-    run_section45_suite,
-    run_suite,
-    run_theorem2_suite,
-    suite_names,
-    write_csv_summary,
-    write_json_report,
-)
 
-__all__ = [
-    "__version__",
-    "AHVerdict",
-    "CENSUS_PRIMES",
-    "ChordTraceReport",
-    "CollisionExperiment",
-    "DEFAULT_BUDGET",
-    "DEFAULT_PRIMES",
-    "DimensionReport",
-    "FatPoint",
-    "FiberCensus",
-    "FieldMatrix",
-    "IdentifiabilityVerdict",
-    "LimitMultiplicityReport",
-    "MonomialBasis",
-    "Placement",
-    "PrimeField",
-    "RationalMap",
-    "SchemeSpec",
-    "SequenceTable",
-    "SpecSemanticError",
-    "SpecSyntaxError",
-    "SuiteResult",
-    "a_seq",
-    "a_simple",
-    "ah_classify",
-    "castelnuovo_split",
-    "census_for_doubles",
-    "classify",
-    "collision1_check",
-    "collision_limit_degree",
-    "condition_matrix",
-    "csv_summary",
-    "degree_identity",
-    "dimension",
-    "double_points",
-    "expected_dim",
-    "fiber_census",
-    "flagged_system",
-    "hs_sequences",
-    "identifiability_verdict",
-    "indip_check",
-    "independence_check",
-    "is_perfect",
-    "is_prime",
-    "json_report",
-    "k",
-    "kernel_basis",
-    "limit_multiplicity_check",
-    "load_manifest",
-    "map_from_system",
-    "monomial_basis",
-    "parse_spec",
-    "plane_genus",
-    "plane_row",
-    "print_spec",
-    "projective_count",
-    "quadric_rank",
-    "r",
-    "rank",
-    "run_ah_suite",
-    "run_prop23_suite",
-    "run_section45_suite",
-    "run_suite",
-    "run_theorem2_suite",
-    "sample",
-    "suite_names",
-    "verify_sequence_properties",
-    "virtual_dim",
-    "write_csv_summary",
-    "write_json_report",
-]
+__all__ = ["__version__"]

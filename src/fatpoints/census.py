@@ -205,29 +205,24 @@ def next_odd_prime(p: int) -> int:
     return q
 
 
-def classify(
-    c: FiberCensus,
-    tau_b: float = TAU_BIRATIONAL,
-    tau_f: float = TAU_FIBER,
-    tau_k: float = TAU_FINITE,
-) -> str:
+def classify(c: FiberCensus) -> str:
     """Threshold decision on the census statistics.
 
     Order matters: a clear generic-degree-1 signal wins; a provably small
-    image (at most tau_f/p of the domain, i.e. positive-codimension) is fiber
-    type; concentrated fiber size k >= 2 is a finite cover; otherwise the
-    census is inconclusive.
+    image (at most TAU_FIBER/p of the domain, i.e. positive-codimension) is
+    fiber type; concentrated fiber size k >= 2 is a finite cover; otherwise
+    the census is inconclusive.
     """
-    if c.fraction_unique >= tau_b:
+    if c.fraction_unique >= TAU_BIRATIONAL:
         return "birational"
-    if c.image_size <= c.domain_size * tau_f / c.prime:
+    if c.image_size <= c.domain_size * TAU_FIBER / c.prime:
         return "fiber-type"
     total = c.domain_size - c.base_points
     if total > 0:
         by_mass = {s: s * cnt / total for s, cnt in c.histogram.items() if s >= 2}
         if by_mass:
             s, mass = max(by_mass.items(), key=lambda kv: kv[1])
-            if mass >= tau_k:
+            if mass >= TAU_FINITE:
                 return f"finite({s})"
     return "inconclusive"
 

@@ -227,7 +227,11 @@ def _cmd_identif(args, primes, seeds):
     if v.status == "identifiable":
         corroborated = all(c.verdict == "birational" for c in v.censuses)
     elif v.status == "not-identifiable":
-        corroborated = all(c.verdict != "birational" for c in v.censuses)
+        # only positive evidence of a non-birational map counts
+        corroborated = all(
+            c.verdict == "fiber-type" or c.verdict.startswith("finite(")
+            for c in v.censuses
+        )
     else:
         corroborated = True
     tail = f", s = {v.s}" if v.s is not None else ""

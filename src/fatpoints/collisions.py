@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .ffield import DEFAULT_PRIMES, FieldMatrix, PrimeField, rank
+from .ffield import DEFAULT_PRIMES, FieldMatrix, check_modulus, rank
 from .formulas import collision_limit_degree, degree_identity
 from .monomials import evaluate_basis, monomial_basis
 from .schemes import (
@@ -22,7 +22,9 @@ from .schemes import (
     FatPoint,
     Placement,
     SchemeSpec,
+    _normalize,
     dimension,
+    double_points,
 )
 
 
@@ -59,7 +61,7 @@ def collision1_check(n: int, d: int, prime: int, seed: int) -> CollisionExperime
     """
     if n < 2 or d < 3:
         raise ValueError(f"need n >= 2 and d >= 3, got ({n},{d})")
-    p = PrimeField(prime).p
+    p = check_modulus(prime)
     rng = np.random.default_rng(np.random.SeedSequence([p, seed, 0xC0111]))
     pts = _affine_points(n, p, rng)
     generic = SchemeSpec(
@@ -111,7 +113,7 @@ def indip_check(n: int, prime: int, seed: int) -> ChordTraceReport:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
-    p = PrimeField(prime).p
+    p = check_modulus(prime)
     attempt = 0
     while True:
         rng = np.random.default_rng(np.random.SeedSequence([p, seed + attempt, 0x1d1b]))
@@ -126,7 +128,7 @@ def indip_check(n: int, prime: int, seed: int) -> ChordTraceReport:
                 # <a_i, a_j> meets R where the last coordinate cancels
                 b = (pts[i][n] * pts[j] - pts[j][n] * pts[i]) % p
                 traces[(i, j)] = b
-        keys = {tuple(_norm(v, p)) for v in traces.values() if v.any()}
+        keys = {tuple(_normalize(v, p)) for v in traces.values() if v.any()}
         if len(keys) == comb(n + 1, 2):
             break
         attempt += 1
@@ -149,11 +151,6 @@ def indip_check(n: int, prime: int, seed: int) -> ChordTraceReport:
         all_triples_collinear=collinear,
         resampled=attempt,
     )
-
-
-def _norm(v: np.ndarray, p: int) -> np.ndarray:
-    nz = np.nonzero(v)[0]
-    return v * pow(int(v[nz[0]]), -1, p) % p
 
 
 def _collinear(a: np.ndarray, b: np.ndarray, c: np.ndarray, p: int) -> bool:
@@ -205,11 +202,7 @@ def limit_multiplicity_check(
             SchemeSpec(n, d, (FatPoint(Placement.generic(), m),)), (prime,), (seed,)
         )
 
-    doubles = dimension(
-        SchemeSpec(n, d, tuple(FatPoint(Placement.generic(), 2) for _ in range(h))),
-        (prime,),
-        (seed,),
-    )
+    doubles = dimension(double_points(n, d, h), (prime,), (seed,))
     return LimitMultiplicityReport(
         n=n,
         d=d,

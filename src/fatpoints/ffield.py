@@ -14,8 +14,8 @@ p < MAX_MODULUS:
   is at most 2^52; at p = 32003 or 65521 one limb suffices up to inner
   dimension 2^20.
 
-The reduced row echelon form is unique, so the pivots, `rref` and
-`kernel_basis` do not depend on the batch size.
+The reduced row echelon form is unique, so the pivots and `kernel_basis` do
+not depend on the batch size.
 """
 
 from __future__ import annotations
@@ -64,41 +64,30 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """An odd prime modulus below MAX_MODULUS, validated at construction."""
-
-    p: int
-
-    def __post_init__(self) -> None:
-        if self.p <= 2 or not is_prime(self.p):
-            raise ValueError(f"modulus must be an odd prime, got {self.p}")
-        if self.p >= MAX_MODULUS:
-            raise ValueError(f"modulus {self.p} must be below {MAX_MODULUS} for int64 products")
-
-    def inv(self, x: int) -> int:
-        return pow(x % self.p, -1, self.p)
+def check_modulus(p: int) -> int:
+    """p itself, if it is an odd prime below MAX_MODULUS; else ValueError."""
+    if p <= 2 or not is_prime(p):
+        raise ValueError(f"modulus must be an odd prime, got {p}")
+    if p >= MAX_MODULUS:
+        raise ValueError(f"modulus {p} must be below {MAX_MODULUS} for int64 products")
+    return p
 
 
 @dataclass(frozen=True, eq=False)
 class FieldMatrix:
     """Immutable dense matrix over F_p; entries stored reduced."""
 
-    field: PrimeField
+    p: int
     a: np.ndarray
 
-    def __init__(self, rows, p_or_field) -> None:
-        fld = p_or_field if isinstance(p_or_field, PrimeField) else PrimeField(int(p_or_field))
+    def __init__(self, rows, p: int) -> None:
+        p = check_modulus(int(p))
         arr = np.asarray(rows, dtype=np.int64)
         if arr.ndim != 2:
             raise ValueError("matrix data must be 2-dimensional")
-        object.__setattr__(self, "field", fld)
-        object.__setattr__(self, "a", arr % fld.p)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "a", arr % p)
         self.a.setflags(write=False)
-
-    @property
-    def p(self) -> int:
-        return self.field.p
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -236,12 +225,6 @@ def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 def rank(m: FieldMatrix) -> int:
     """Rank over F_p. The input matrix is not mutated."""
     return len(_eliminate(m.a, m.p)[1])
-
-
-def rref(m: FieldMatrix) -> tuple[FieldMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns."""
-    a, pivots = _eliminate(m.a, m.p)
-    return FieldMatrix(a, m.field), tuple(pivots)
 
 
 def kernel_basis(m: FieldMatrix) -> list[np.ndarray]:

@@ -40,17 +40,6 @@ def r(n: int, d: int) -> int:
     return ceil(Fraction(comb(d + 3, 3), 4)) - 5
 
 
-def a_simple(n: int, d: int, b: int) -> int:
-    """Double-point count compatible with b simple points on a 3-space."""
-    if d < 4:
-        raise ValueError(f"need d >= 4, got d={d}")
-    if not 1 <= b < Fraction(comb(d + 3, 3), 4) - 1:
-        raise ValueError(f"b={b} out of range for d={d}")
-    if (d, b) == (4, 5):
-        return floor(Fraction(comb(n + d, n) - b - 1, n + 1)) - max(n - 7, 1)
-    return floor(Fraction(comb(n + d, n) - b - 1, n + 1)) - max(0, n - 4)
-
-
 def a_seq(i: int, d: int) -> int:
     """The row target a_i = binom(i+d-1, i-1) - 3i/2 - i^2/2 (always integral)."""
     if i < 3 or d < 4:
@@ -78,9 +67,6 @@ class SequenceTable:
     h: dict[int, int] = field(repr=False)
     s: dict[int, int] = field(repr=False)
     a: dict[int, int] = field(repr=False)
-
-    def row(self, i: int) -> tuple[int | None, int, int]:
-        return (self.a.get(i), self.h[i], self.s[i])
 
     def as_dict(self) -> dict:
         rng = list(range(2, self.n + 1))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import factorial, prod
 
 import numpy as np
 
@@ -62,16 +62,6 @@ class MonomialBasis:
             arr.setflags(write=False)
             object.__setattr__(self, "_arr", arr)
         return arr
-
-    def index_of(self, alpha: tuple[int, ...]) -> int:
-        lut = getattr(self, "_lut", None)
-        if lut is None:
-            lut = {e: i for i, e in enumerate(self.exponents)}
-            object.__setattr__(self, "_lut", lut)
-        return lut[alpha]
-
-    def size_check(self) -> bool:
-        return len(self.exponents) == comb(self.n + self.d, self.n)
 
 
 def point_rows(basis: MonomialBasis, pt, m: int, directions, p: int) -> np.ndarray:
@@ -127,16 +117,6 @@ def _falling_table(size: int, p: int) -> np.ndarray:
         ff[b, 1:] = ff[b - 1, :-1] * b % p
     ff.setflags(write=False)
     return ff
-
-
-def eval_form(coeffs, basis: MonomialBasis, pt, p: int) -> int:
-    """Value of the form with the given coefficient vector at a single point."""
-    pt = np.asarray(pt, dtype=np.int64) % p
-    if not pt.any():
-        raise ValueError("cannot evaluate at the zero vector")
-    vals = evaluate_basis(basis, pt.reshape(1, -1), p)[0]
-    coeffs = np.asarray(coeffs, dtype=np.int64) % p
-    return int((vals * coeffs % p).sum() % p)
 
 
 def evaluate_basis(basis: MonomialBasis, pts: np.ndarray, p: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ffield import DEFAULT_PRIMES, FieldMatrix, PrimeField, rank
+from .ffield import DEFAULT_PRIMES, FieldMatrix, check_modulus, rank
 from .formulas import AH_SPORADIC
 from .monomials import _proportional, monomial_basis, point_rows
 
@@ -176,16 +176,6 @@ class SchemeSpec:
     def direction_count(self) -> int:
         return sum(len(pt.directions) for pt in self.points)
 
-    @property
-    def flag_dims(self) -> tuple[int, ...]:
-        dims = {
-            pl.dim
-            for pt in self.points
-            for pl in (pt.placement, *pt.directions)
-            if pl.kind == SUBSPACE
-        }
-        return tuple(sorted(dims)) + (self.n,)
-
     def condition_rows(self) -> int:
         n = self.n
         return (
@@ -248,10 +238,10 @@ def sample(spec: SchemeSpec, prime: int, seed: int) -> SampledScheme:
     """Deterministic coordinates for every point and direction.
 
     Replays exactly for equal (spec placement list, prime, seed); extending the
-    point list leaves earlier samples unchanged, which keeps base systems and
-    their extensions on the same configuration in independence checks.
+    point list leaves earlier samples unchanged, which keeps a system and its
+    extensions on the same configuration.
     """
-    p = PrimeField(prime).p
+    p = check_modulus(prime)
     max_mult = max((pt.multiplicity for pt in spec.points), default=1)
     if p <= spec.d or p <= max_mult:
         raise ValueError(f"prime {p} must exceed degree {spec.d} and multiplicities")
@@ -386,7 +376,7 @@ def dimension(
     if not primes or not seeds:
         raise ValueError("need at least one prime and one seed")
     vd = virtual_dim(spec)
-    exp = max(vd, -1)
+    exp = expected_dim(spec)
 
     def report(computed, trials, note=""):
         n_primes = len({t.prime for t in trials})
@@ -455,27 +445,6 @@ def double_points(n: int, d: int, h: int) -> SchemeSpec:
     return SchemeSpec(n, d, tuple(FatPoint(Placement.generic(), 2) for _ in range(h)))
 
 
-def independence_check(
-    spec: SchemeSpec,
-    extra: Sequence[Placement],
-    primes: Sequence[int] = (DEFAULT_PRIMES[0],),
-    seeds: Sequence[int] = (0, 1),
-) -> bool:
-    """True iff the extra simple points cut the computed dimension by |extra|.
-
-    The extended spec appends the extra points, so per-point sampling keeps
-    the original configuration fixed underneath.
-    """
-    base = dimension(spec, primes, seeds)
-    extended = SchemeSpec(
-        spec.n,
-        spec.d,
-        spec.points + tuple(FatPoint(pl, 1) for pl in extra),
-    )
-    ext = dimension(extended, primes, seeds)
-    return base.computed - ext.computed == len(extra)
-
-
 def _direction_on_hyperplane(spec: SchemeSpec, dr: Placement) -> bool:
     if dr.kind == SUBSPACE:
         return dr.dim <= spec.n - 1
@@ -495,9 +464,7 @@ def _on_hyperplane(spec: SchemeSpec, pt: FatPoint) -> bool:
     return False
 
 
-def castelnuovo_split(
-    spec: SchemeSpec, hyperplane_dim: int | None = None
-) -> tuple[SchemeSpec, SchemeSpec]:
+def castelnuovo_split(spec: SchemeSpec) -> tuple[SchemeSpec, SchemeSpec]:
     """Kernel and trace of restriction to the flag hyperplane H_{n-1}.
 
     Kernel: degree d-1 on the same P^n; on-hyperplane multiplicities drop by
@@ -509,12 +476,6 @@ def castelnuovo_split(
     n = spec.n
     if n < 2:
         raise ValueError("restriction needs ambient dimension >= 2")
-    if hyperplane_dim is None:
-        hyperplane_dim = n - 1
-    if hyperplane_dim != n - 1:
-        raise ValueError(
-            f"the flag has a single hyperplane, H_{n - 1}; got H_{hyperplane_dim}"
-        )
     if any(
         pl.kind == CLUSTER
         for pt in spec.points

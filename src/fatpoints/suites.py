@@ -424,12 +424,6 @@ def json_report(results, timings: bool = True) -> dict:
     }
 
 
-def write_json_report(results, path, timings: bool = True) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(json_report(results, timings), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def csv_summary(results) -> str:
     results = [results] if isinstance(results, SuiteResult) else list(results)
     buf = io.StringIO()
@@ -449,8 +443,3 @@ def csv_summary(results) -> str:
                 ]
             )
     return buf.getvalue()
-
-
-def write_csv_summary(results, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_summary(results))

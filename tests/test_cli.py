@@ -159,6 +159,18 @@ def test_identif_budget_skips_census(capsys):
     assert payload["result"]["corroborated"] is True
 
 
+def test_identif_inconclusive_census_is_not_corroboration(capsys):
+    code, payload, _ = run_json(capsys, ["identif", "--n", "2", "--d", "7"])
+    assert payload["result"]["status"] == "not-identifiable"
+    assert [c["verdict"] for c in payload["result"]["censuses"]] == ["inconclusive"] * 2
+    assert payload["result"]["corroborated"] is False
+    assert code == 1
+    code, payload, _ = run_json(capsys, ["identif", "--n", "2", "--d", "4"])
+    assert [c["verdict"] for c in payload["result"]["censuses"]] == ["fiber-type"] * 2
+    assert payload["result"]["corroborated"] is True
+    assert code == 0
+
+
 def test_collide_merge(capsys):
     code, out, _ = run(capsys, ["collide", "--op", "merge", "--n", "2", "--d", "4"])
     assert code == 0

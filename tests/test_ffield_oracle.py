@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fatpoints.census import next_odd_prime
-from fatpoints.ffield import MAX_MODULUS, FieldMatrix, _addmul, _reduce, is_prime, kernel_basis, rank, rref
+from fatpoints.ffield import MAX_MODULUS, FieldMatrix, _addmul, _eliminate, _reduce, is_prime, kernel_basis, rank
 
 PRIMES = (3, 5, 32003, 65521, 1073741789, 2147483647)
 
@@ -83,12 +83,12 @@ def check_against_oracle(a: np.ndarray, p: int) -> None:
     m = FieldMatrix(a, p)
     red, pivots = oracle_rref(a.tolist(), p)
     assert rank(m) == len(pivots)
-    got, got_pivots = rref(m)
-    assert got_pivots == tuple(pivots)
+    got, got_pivots = _eliminate(m.a, p)
+    assert got_pivots == pivots
     want = np.zeros(a.shape, dtype=np.int64)
     if red:
         want[: len(red)] = np.array(red, dtype=np.int64)
-    assert np.array_equal(got.a, want)
+    assert np.array_equal(got, want)
     kernel = kernel_basis(m)
     assert [v.tolist() for v in kernel] == oracle_kernel(red, pivots, a.shape[1], p)
 

@@ -10,7 +10,6 @@ from fatpoints.formulas import (
     SequenceTable,
     _window,
     a_seq,
-    a_simple,
     collision_limit_degree,
     degree_identity,
     hs_sequences,
@@ -54,18 +53,6 @@ def test_r_values():
         r(4, 3)
 
 
-def test_a_simple_values():
-    assert a_simple(8, 4, 5) == 53
-    assert a_simple(5, 5, 1) == 40
-    assert a_simple(3, 6, 4) == 19
-    with pytest.raises(ValueError):
-        a_simple(5, 3, 1)
-    with pytest.raises(ValueError):
-        a_simple(5, 4, 0)
-    with pytest.raises(ValueError):
-        a_simple(5, 4, 8)  # upper cutoff is binom(7,3)/4 - 1 = 7.75
-
-
 def test_a_seq_values():
     assert a_seq(5, 4) == 50
     assert a_seq(4, 4) == 21
@@ -89,7 +76,7 @@ def test_hs_sequences_5_4():
     assert d["h"] == [2, 5, 9, 14]
     assert d["s"] == [0, 1, 5, 15]
     assert d["a"][0] is None
-    assert t.row(5) == (50, 14, 15)
+    assert (t.a[5], t.h[5], t.s[5]) == (50, 14, 15)
 
 
 def test_hs_sequences_guards():

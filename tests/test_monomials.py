@@ -6,9 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fatpoints.ffield import FieldMatrix, rank
-from fatpoints.monomials import eval_form, evaluate_basis, monomial_basis, point_rows
+from fatpoints.monomials import evaluate_basis, monomial_basis, point_rows
 
 P = 32003
+
+
+def form_value(coeffs, b, pt) -> int:
+    """The form with coefficient vector coeffs over basis b, at the point pt."""
+    vals = evaluate_basis(b, np.reshape(pt, (1, -1)), P)[0]
+    return int(vals @ coeffs % P)
 
 
 def test_basis_sizes():
@@ -19,7 +25,6 @@ def test_basis_sizes():
         for d in range(0, 9):
             b = monomial_basis(n, d)
             assert len(b) == comb(n + d, n)
-            assert b.size_check()
 
 
 def test_basis_order_is_graded_lex():
@@ -29,7 +34,7 @@ def test_basis_order_is_graded_lex():
     for e, f in zip(b.exponents, b.exponents[1:]):
         assert e > f  # strictly descending lex within the degree
     for i, e in enumerate(b.exponents):
-        assert b.index_of(e) == i
+        assert b.exponents.index(e) == i
 
 
 def test_basis_rejects_bad_args():
@@ -54,7 +59,7 @@ def test_top_order_rows_are_constant():
     assert np.array_equal(r1, r2)
     expect = np.zeros((len(b), len(b)), dtype=np.int64)
     for i, alpha in enumerate(b.exponents):
-        expect[i, b.index_of(alpha)] = prod(map(factorial, alpha)) % P
+        expect[i, b.exponents.index(alpha)] = prod(map(factorial, alpha)) % P
     assert np.array_equal(r1, expect)
 
 
@@ -128,12 +133,12 @@ def test_taylor_expansion_identity():
     pt = rng.integers(1, P, n + 1)
     v = rng.integers(1, P, n + 1)
     coeffs = rng.integers(0, P, len(b))
-    taylor = [int(evaluate_basis(b, pt.reshape(1, -1), P)[0] @ coeffs % P)]
+    taylor = [form_value(coeffs, b, pt)]
     taylor += [
         int(point_rows(b, pt, m, (v,), P)[-1] @ coeffs % P) for m in range(1, d + 1)
     ]
     for t in (1, 2, 17, 4321):
-        direct = eval_form(coeffs, b, (pt + t * v) % P, P)
+        direct = form_value(coeffs, b, (pt + t * v) % P)
         horner = 0
         for c in reversed(taylor):
             horner = (horner * t + c) % P
@@ -185,17 +190,9 @@ def test_evaluate_basis_against_direct_powers():
             assert got[i, j] == want
 
 
-def test_eval_form_rejects_zero_point():
-    b = monomial_basis(2, 2)
-    with pytest.raises(ValueError):
-        eval_form(np.ones(len(b), dtype=np.int64), b, (0, 0, 0), P)
-
-
 def test_evaluation_refuses_moduli_beyond_int64_range():
     # residue products mod 4294967311 overflow int64 and came out wrong
     b = monomial_basis(2, 3)
-    with pytest.raises(ValueError):
-        eval_form(np.ones(len(b), dtype=np.int64), b, (1, 2, 3), 4294967311)
     with pytest.raises(ValueError):
         evaluate_basis(b, np.ones((1, 3), dtype=np.int64), 4294967311)
 
@@ -207,6 +204,6 @@ def test_eval_form_homogeneity(n, d, seed, lam):
     rng = np.random.default_rng(seed)
     pt = rng.integers(1, P, n + 1)
     coeffs = rng.integers(0, P, len(b))
-    base = eval_form(coeffs, b, pt, P)
-    scaled = eval_form(coeffs, b, pt * lam % P, P)
+    base = form_value(coeffs, b, pt)
+    scaled = form_value(coeffs, b, pt * lam % P)
     assert scaled == pow(lam, d, P) * base % P

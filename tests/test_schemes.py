@@ -16,7 +16,6 @@ from fatpoints.schemes import (
     dimension,
     double_points,
     expected_dim,
-    independence_check,
     sample,
     virtual_dim,
 )
@@ -124,7 +123,6 @@ def test_condition_rows_counts_directions():
     spec = parse_spec("L(5,4;3[10],2^8,2^6@H3)")
     assert spec.condition_rows() == comb(2 + 5, 5) + 14 * 6 + 10
     assert spec.direction_count == 10
-    assert spec.flag_dims == (3, 5)
 
 
 def test_dimension_examples():
@@ -212,18 +210,6 @@ def test_double_points_builder():
     assert [p.multiplicity for p in spec.points] == [2] * 6
 
 
-def test_independence_check():
-    base = parse_spec("L(2,4;2^3)")
-    assert independence_check(base, [Placement.generic()] * 2)
-    assert independence_check(
-        SchemeSpec(2, 2), [Placement.on_subspace(1), Placement.on_subspace(1)]
-    )
-    # both double points on the line force it into the base locus, so further
-    # simple points of the line impose nothing
-    degenerate = parse_spec("L(2,2;2^2@H1)")
-    assert not independence_check(degenerate, [Placement.on_subspace(1)])
-
-
 def test_castelnuovo_split_structure():
     spec = parse_spec("L(3,4;3@H2,2^2@H2,2^3)")
     kern, trace = castelnuovo_split(spec)
@@ -239,8 +225,6 @@ def test_castelnuovo_split_structure():
 def test_castelnuovo_split_guards():
     with pytest.raises(ValueError):
         castelnuovo_split(parse_spec("L(1,3;2)"))
-    with pytest.raises(ValueError):
-        castelnuovo_split(parse_spec("L(3,3;2^2)"), hyperplane_dim=1)
     with pytest.raises(ValueError):
         castelnuovo_split(parse_spec("L(3,3;2,2@pt0)"))
 

@@ -15,8 +15,6 @@ from fatpoints.suites import (
     run_section45_suite,
     run_suite,
     suite_names,
-    write_csv_summary,
-    write_json_report,
 )
 
 
@@ -128,24 +126,19 @@ def test_run_suite_dispatch():
         run_suite("nope")
 
 
-def test_reports(tmp_path):
+def test_reports():
     res = run_prop23_suite()
     rep = json_report(res)
     assert set(rep) == {"tool_version", "passed", "suites"}
     assert rep["passed"] is True
     assert rep["suites"][0]["suite"] == "prop23"
 
-    jpath = tmp_path / "report.json"
-    write_json_report(res, jpath, timings=False)
-    write_json_report(res, tmp_path / "again.json", timings=False)
-    assert jpath.read_text() == (tmp_path / "again.json").read_text()
-    parsed = json.loads(jpath.read_text())
-    assert parsed["suites"][0]["passed"] is True
+    once = json.dumps(json_report(res, timings=False), sort_keys=True)
+    again = json.dumps(json_report(run_prop23_suite(), timings=False), sort_keys=True)
+    assert once == again
+    assert "elapsed" not in once
 
     text = csv_summary(res)
     lines = text.strip().splitlines()
     assert lines[0] == "suite,case,op,passed,expected,observed,origin"
     assert len(lines) == 1 + len(res.cases)
-    cpath = tmp_path / "summary.csv"
-    write_csv_summary(res, cpath)
-    assert cpath.read_bytes().decode() == text
