@@ -41,23 +41,41 @@ class UsageError(Exception):
     """Invocation problem that is neither a syntax nor a domain error."""
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.replace(",", " ").split()]
+def _prime(text: str) -> int:
+    try:
+        p = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid prime {text!r}") from None
+    if p >= MAX_MODULUS:
+        raise argparse.ArgumentTypeError(f"prime {p} must be below {MAX_MODULUS}")
+    return p
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--prime", type=int, action="append", dest="prime_list",
-                    help="working prime; repeatable")
-    sp.add_argument("--primes", type=_int_list, help="comma-separated primes")
-    sp.add_argument("--seed", type=int, action="append", dest="seed_list",
-                    help="sampling seed; repeatable")
-    sp.add_argument("--seeds", type=_int_list, help="comma-separated seeds")
-    sp.add_argument("--trials", type=int, default=3,
-                    help="number of seeds 0..trials-1 when none given")
-    sp.add_argument("--budget", type=float, default=DEFAULT_BUDGET,
-                    help="op budget for censuses")
-    sp.add_argument("--json", action="store_true", help="emit the JSON report")
-    sp.add_argument("--csv", action="store_true", help="emit a CSV summary")
+class _Repeat(argparse.Action):
+    """Repeatable option: the first use replaces the default, later uses extend."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        given = getattr(namespace, self.dest)
+        kept = [] if given is self.default else given
+        setattr(namespace, self.dest, [*kept, value])
+
+
+# each subcommand declares the options its command reads, by these keys
+_OPTIONS = {
+    "primes": ("--prime", dict(
+        type=_prime, action=_Repeat, default=DEFAULT_PRIMES[:1], metavar="PRIME",
+        help="working prime; repeatable (default 32003)")),
+    "prime": ("--prime", dict(
+        type=_prime, default=DEFAULT_PRIMES[0], help="working prime (default 32003)")),
+    "seeds": ("--seed", dict(
+        type=int, action=_Repeat, default=(0, 1, 2), metavar="SEED",
+        help="sampling seed; repeatable (default 0 1 2)")),
+    "seed": ("--seed", dict(type=int, default=0, help="sampling seed (default 0)")),
+    "budget": ("--budget", dict(
+        type=float, default=DEFAULT_BUDGET, help="op budget for censuses")),
+    "csv": ("--csv", dict(action="store_true", help="emit a CSV summary")),
+    "json": ("--json", dict(action="store_true", help="emit the JSON report")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,59 +86,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    sp = sub.add_parser("dim", help="computed vs expected dimension")
+    def command(name, help, *options):
+        sp = sub.add_parser(name, help=help)
+        for key in (*options, "json"):
+            flag, kwargs = _OPTIONS[key]
+            sp.add_argument(flag, dest=key, **kwargs)
+        return sp
+
+    sp = command("dim", "computed vs expected dimension", "primes", "seeds")
     sp.add_argument("spec", nargs="+", help='system string, e.g. "L(2,4;2^5)"')
-    _add_common(sp)
 
-    sp = sub.add_parser("ah", help="double-point speciality grid")
-    sp.add_argument("--n-max", type=int, default=4)
-    sp.add_argument("--d-max", type=int, default=6)
+    sp = command("ah", "double-point speciality grid", "csv")
+    sp.add_argument("--n-max", type=int, help="largest n (default: the manifest's)")
+    sp.add_argument("--d-max", type=int, help="largest d (default: the manifest's)")
     sp.add_argument("--manifest", help="alternate manifest path")
-    _add_common(sp)
 
-    sp = sub.add_parser("seq", help="multiplicity count tables and their checks")
+    sp = command("seq", "multiplicity count tables and their checks")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
-    _add_common(sp)
 
-    sp = sub.add_parser("cremona", help="fiber census of the attached self-map")
+    sp = command("cremona", "fiber census of the attached self-map",
+                 "primes", "seed", "budget")
     sp.add_argument("spec")
-    _add_common(sp)
 
-    sp = sub.add_parser("identif", help="uniqueness of generic power decompositions")
+    sp = command("identif", "uniqueness of generic power decompositions", "budget")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--no-census", action="store_true",
                     help="skip the corroborating censuses")
-    _add_common(sp)
 
-    sp = sub.add_parser("collide", help="point-collision experiments")
+    sp = command("collide", "point-collision experiments", "prime", "seed")
     sp.add_argument("--op", choices=["merge", "chords", "limit"], required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=int)
     sp.add_argument("--h", type=int)
-    _add_common(sp)
 
-    sp = sub.add_parser("castelnuovo", help="hyperplane restriction split")
+    sp = command("castelnuovo", "hyperplane restriction split", "primes", "seeds")
     sp.add_argument("spec")
-    _add_common(sp)
 
-    sp = sub.add_parser("suite", help="run manifest suites")
+    sp = command("suite", "run manifest suites", "csv", "budget")
     sp.add_argument("names", nargs="*", help=f"subset of {', '.join(suite_names())}")
     sp.add_argument("--manifest", help="alternate manifest path")
-    _add_common(sp)
 
     return p
-
-
-def _primes(args, default=(DEFAULT_PRIMES[0],)) -> tuple[int, ...]:
-    chosen = args.primes or args.prime_list or list(default)
-    return tuple(int(p) for p in chosen)
-
-
-def _seeds(args) -> tuple[int, ...]:
-    chosen = args.seeds or args.seed_list or list(range(args.trials))
-    return tuple(int(s) for s in chosen)
 
 
 def _check_prime_bounds(specs, primes) -> None:
@@ -128,21 +136,19 @@ def _check_prime_bounds(specs, primes) -> None:
         mults = [pt.multiplicity for pt in spec.points]
         bound = max([spec.d] + mults)
         for p in primes:
-            if p >= MAX_MODULUS:
-                raise UsageError(f"prime {p} must be below {MAX_MODULUS}")
             if p <= bound:
                 raise UsageError(
                     f"prime {p} must exceed max(degree, multiplicities) = {bound}"
                 )
 
 
-def _cmd_dim(args, primes, seeds):
+def _cmd_dim(args):
     specs = [parse_spec(s) for s in args.spec]
-    _check_prime_bounds(specs, primes)
+    _check_prime_bounds(specs, args.primes)
     cases = []
     lines = []
     for text, spec in zip(args.spec, specs):
-        rep = dimension(spec, primes, seeds)
+        rep = dimension(spec, args.primes, args.seeds)
         cases.append({"spec": text, "result": rep.as_dict(), "passed": not rep.unstable})
         tag = " special" if rep.special else ""
         tag += " UNSTABLE" if rep.unstable else ""
@@ -156,10 +162,12 @@ def _cmd_dim(args, primes, seeds):
         "cases": cases,
         "passed": all(c["passed"] for c in cases),
         "lines": lines,
+        "primes": args.primes,
+        "seeds": args.seeds,
     }
 
 
-def _cmd_ah(args, primes, seeds):
+def _cmd_ah(args):
     manifest = load_manifest(args.manifest) if args.manifest else None
     res = run_ah_suite(args.n_max, args.d_max, manifest=manifest)
     lines = [f"ah grid: {len(res.cases) - len(res.failures)}/{len(res.cases)} passed"]
@@ -176,7 +184,7 @@ def _cmd_ah(args, primes, seeds):
     }
 
 
-def _cmd_seq(args, primes, seeds):
+def _cmd_seq(args):
     t = hs_sequences(args.n, args.d)
     props = verify_sequence_properties(t)
     lines = [f"k({args.n},{args.d}) = {t.k}", "  i    h    s    a"]
@@ -190,16 +198,18 @@ def _cmd_seq(args, primes, seeds):
         "cases": [],
         "passed": all(props.values()),
         "lines": lines,
+        "primes": [],
+        "seeds": [],
     }
 
 
-def _cmd_cremona(args, primes, seeds):
+def _cmd_cremona(args):
     spec = parse_spec(args.spec)
-    _check_prime_bounds([spec], primes)
+    _check_prime_bounds([spec], args.primes)
     cases = []
     lines = []
-    for p in primes:
-        m = map_from_system(spec, p, seeds[0])
+    for p in args.primes:
+        m = map_from_system(spec, p, args.seed)
         c = fiber_census(m, args.budget)
         cases.append({"prime": p, "result": c.as_dict(), "passed": c.verdict != "inconclusive"})
         lines.append(
@@ -217,10 +227,12 @@ def _cmd_cremona(args, primes, seeds):
         "cases": cases,
         "passed": passed,
         "lines": lines,
+        "primes": args.primes,
+        "seeds": [args.seed],
     }
 
 
-def _cmd_identif(args, primes, seeds):
+def _cmd_identif(args):
     v = identifiability_verdict(
         args.n, args.d, corroborate=not args.no_census, budget=args.budget
     )
@@ -245,27 +257,30 @@ def _cmd_identif(args, primes, seeds):
         "cases": [c.as_dict() for c in v.censuses],
         "passed": corroborated,
         "lines": lines,
+        # identifiability_verdict runs its censuses at seed 0
+        "primes": [c.prime for c in v.censuses],
+        "seeds": [0] if v.censuses else [],
     }
 
 
-def _cmd_collide(args, primes, seeds):
-    p = primes[0]
+def _cmd_collide(args):
+    p, seed = args.prime, args.seed
     if args.op == "merge":
         if args.d is None:
             raise UsageError("--op merge needs --d")
-        rep = collision1_check(args.n, args.d, p, seeds[0])
+        rep = collision1_check(args.n, args.d, p, seed)
         passed = rep.dims_equal and rep.degree_identity_ok
         line = (f"merge ({args.n},{args.d}): generic={rep.generic_dim} "
                 f"limit={rep.limit_dim} equal={rep.dims_equal}")
     elif args.op == "chords":
-        rep = indip_check(args.n, p, seeds[0])
+        rep = indip_check(args.n, p, seed)
         passed = rep.independent and rep.all_triples_collinear
         line = (f"chords n={args.n}: rank={rep.quadric_rank}/{rep.points} "
                 f"collinear_triples={rep.all_triples_collinear}")
     else:
         if args.d is None or args.h is None:
             raise UsageError("--op limit needs --d and --h")
-        rep = limit_multiplicity_check(args.n, args.d, args.h, p, seeds[0])
+        rep = limit_multiplicity_check(args.n, args.d, args.h, p, seed)
         passed = rep.deeper_point_dim <= rep.doubles_dim and (
             not rep.exact or rep.fat_point_dim == rep.doubles_dim
         )
@@ -277,16 +292,18 @@ def _cmd_collide(args, primes, seeds):
         "cases": [],
         "passed": passed,
         "lines": [line],
+        "primes": [p],
+        "seeds": [seed],
     }
 
 
-def _cmd_castelnuovo(args, primes, seeds):
+def _cmd_castelnuovo(args):
     spec = parse_spec(args.spec)
-    _check_prime_bounds([spec], primes)
+    _check_prime_bounds([spec], args.primes)
     kernel, trace = castelnuovo_split(spec)
     h0 = {}
     for name, s in (("system", spec), ("kernel", kernel), ("trace", trace)):
-        h0[name] = dimension(s, primes, seeds).computed + 1
+        h0[name] = dimension(s, args.primes, args.seeds).computed + 1
     passed = h0["system"] <= h0["kernel"] + h0["trace"]
     return {
         "spec": args.spec,
@@ -302,10 +319,12 @@ def _cmd_castelnuovo(args, primes, seeds):
             f"h0: system={h0['system']} kernel={h0['kernel']} trace={h0['trace']} "
             f"subadditive={passed}"
         ],
+        "primes": args.primes,
+        "seeds": args.seeds,
     }
 
 
-def _cmd_suite(args, primes, seeds):
+def _cmd_suite(args):
     manifest = load_manifest(args.manifest) if args.manifest else load_manifest()
     names = args.names or list(suite_names())
     bad = [nm for nm in names if nm not in suite_names()]
@@ -329,6 +348,9 @@ def _cmd_suite(args, primes, seeds):
         "passed": report["passed"],
         "lines": lines,
         "csv": csv_summary(results),
+        # dict keys keep run order and drop repeats
+        "primes": list(dict.fromkeys(p for res in results for p in res.primes)),
+        "seeds": list(dict.fromkeys(s for res in results for s in res.seeds)),
     }
 
 
@@ -361,11 +383,9 @@ def _main(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    primes = _primes(args)
-    seeds = _seeds(args)
     t0 = time.perf_counter()
     try:
-        out = _COMMANDS[args.cmd](args, primes, seeds)
+        out = _COMMANDS[args.cmd](args)
     except (SpecSyntaxError, SpecSemanticError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -381,15 +401,15 @@ def _main(argv) -> int:
         "tool_version": __version__,
         "subcommand": args.cmd,
         "spec": out.get("spec"),
-        "primes": list(out.get("primes", primes)),
-        "seeds": list(out.get("seeds", seeds)),
+        "primes": list(out["primes"]),
+        "seeds": list(out["seeds"]),
         "result": out["result"],
         "cases": out["cases"],
         "timings": {"total": round(time.perf_counter() - t0, 3)},
     }
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2))
-    elif args.csv and "csv" in out:
+    elif "csv" in out and args.csv:
         print(out["csv"], end="")
     else:
         print("\n".join(out["lines"]))

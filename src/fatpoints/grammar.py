@@ -13,9 +13,10 @@ references the K-th point (0-based, in expansion order): for a point it means
 Examples: "L(3,3;2^4)", "L(5,4;3[10],2^8,2^6@H3)".
 
 The grammar cannot express explicit coordinates or mixed per-point direction
-placements; SchemeSpec.to_dict()/from_dict() is the lossless JSON mirror for
-those. print_spec is the canonical printer: parse(print_spec(s)) == s for
-every expressible spec, and print∘parse is idempotent on strings.
+placements; such specs are built as SchemeSpec objects in code, and
+SchemeSpec.to_dict() shows them as JSON. print_spec is the canonical printer:
+parse(print_spec(s)) == s for every expressible spec, and print∘parse is
+idempotent on strings.
 """
 
 from __future__ import annotations
@@ -181,13 +182,10 @@ def print_spec(spec: SchemeSpec) -> str:
         if pt.placement.kind == "explicit" or any(
             d.kind == "explicit" for d in pt.directions
         ):
-            raise ValueError(
-                "explicit coordinates are not grammar-expressible; use to_dict()"
-            )
+            raise ValueError("explicit coordinates are not grammar-expressible")
         if len({(d.kind, d.dim, d.center) for d in pt.directions}) > 1:
             raise ValueError(
-                "mixed direction placements on one point are not "
-                "grammar-expressible; use to_dict()"
+                "mixed direction placements on one point are not grammar-expressible"
             )
         j = i
         while j < len(pts) and _item_signature(pts[j]) == _item_signature(pt):

@@ -71,19 +71,6 @@ class Placement:
             out["center"] = self.center
         return out
 
-    @staticmethod
-    def from_dict(d: dict) -> "Placement":
-        kind = d["kind"]
-        if kind == GENERIC:
-            return Placement.generic()
-        if kind == SUBSPACE:
-            return Placement.on_subspace(d["dim"])
-        if kind == EXPLICIT:
-            return Placement.explicit(d["coords"])
-        if kind == CLUSTER:
-            return Placement.near_cluster(d["center"])
-        raise ValueError(f"unknown placement kind {kind!r}")
-
 
 @dataclass(frozen=True)
 class FatPoint:
@@ -97,14 +84,6 @@ class FatPoint:
             "placement": self.placement.to_dict(),
             "directions": [d.to_dict() for d in self.directions],
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "FatPoint":
-        return FatPoint(
-            placement=Placement.from_dict(d["placement"]),
-            multiplicity=int(d["multiplicity"]),
-            directions=tuple(Placement.from_dict(x) for x in d.get("directions", [])),
-        )
 
 
 @dataclass(frozen=True)
@@ -146,7 +125,7 @@ class SchemeSpec:
                         f"point {idx} direction {t}: tangent to the 0-dimensional "
                         "flag member is degenerate"
                     )
-                if not self._point_on_subspace(pt, dr.dim):
+                if not _in_flag(pt.placement, dr.dim):
                     raise ValueError(
                         f"point {idx} direction {t}: tangent to H_{dr.dim} "
                         "requires the point to lie on it"
@@ -156,14 +135,6 @@ class SchemeSpec:
             if dr.kind == CLUSTER and not 0 <= dr.center < idx:
                 # sampling is sequential; chords may only aim at earlier points
                 raise ValueError(f"point {idx} direction {t}: chord target must be an earlier point")
-
-    def _point_on_subspace(self, pt: FatPoint, k: int) -> bool:
-        pl = pt.placement
-        if pl.kind == SUBSPACE:
-            return pl.dim <= k
-        if pl.kind == EXPLICIT:
-            return all(c == 0 for c in pl.coords[k + 1 :])
-        return False
 
     @property
     def oversized_multiplicities(self) -> tuple[int, ...]:
@@ -186,23 +157,18 @@ class SchemeSpec:
     def to_dict(self) -> dict:
         return {"n": self.n, "d": self.d, "points": [pt.to_dict() for pt in self.points]}
 
-    @staticmethod
-    def from_dict(d: dict) -> "SchemeSpec":
-        return SchemeSpec(
-            n=int(d["n"]),
-            d=int(d["d"]),
-            points=tuple(FatPoint.from_dict(x) for x in d.get("points", [])),
-        )
+
+def _in_flag(pl: Placement, k: int) -> bool:
+    """Whether every sample of the placement lies in the flag member H_k."""
+    if pl.kind == SUBSPACE:
+        return pl.dim <= k
+    if pl.kind == EXPLICIT:
+        return not any(pl.coords[k + 1 :])
+    return False
 
 
 def virtual_dim(spec: SchemeSpec) -> int:
-    n = spec.n
-    return (
-        comb(spec.d + n, n)
-        - 1
-        - sum(comb(pt.multiplicity - 1 + n, n) for pt in spec.points)
-        - spec.direction_count
-    )
+    return comb(spec.d + spec.n, spec.n) - 1 - spec.condition_rows()
 
 
 def expected_dim(spec: SchemeSpec) -> int:
@@ -399,17 +365,13 @@ def dimension(
         return report(-1, [], note="multiplicity exceeds degree: empty by definition")
 
     cols = comb(spec.d + spec.n, spec.n)
-    pairs = [(p, s) for p in primes for s in seeds]
+    overdetermined = spec.condition_rows() > OVERDETERMINED_FACTOR * cols
     trials: list[Trial] = []
-    if spec.condition_rows() > OVERDETERMINED_FACTOR * cols:
-        p0, s0 = pairs[0]
-        dim0 = cols - rank(condition_matrix(spec, p0, s0)) - 1
-        trials.append(Trial(p0, s0, dim0))
-        if dim0 == -1:
-            return report(-1, trials, note="overdetermined: single confirming rank")
-        pairs = pairs[1:]
-    for p, s in pairs:
-        trials.append(Trial(p, s, cols - rank(condition_matrix(spec, p, s)) - 1))
+    for p in primes:
+        for s in seeds:
+            trials.append(Trial(p, s, cols - rank(condition_matrix(spec, p, s)) - 1))
+            if overdetermined and len(trials) == 1 and trials[0].dim == -1:
+                return report(-1, trials, note="overdetermined: single confirming rank")
     return report(min(t.dim for t in trials), trials)
 
 
@@ -445,25 +407,6 @@ def double_points(n: int, d: int, h: int) -> SchemeSpec:
     return SchemeSpec(n, d, tuple(FatPoint(Placement.generic(), 2) for _ in range(h)))
 
 
-def _direction_on_hyperplane(spec: SchemeSpec, dr: Placement) -> bool:
-    if dr.kind == SUBSPACE:
-        return dr.dim <= spec.n - 1
-    if dr.kind == EXPLICIT:
-        return dr.coords[spec.n] == 0
-    if dr.kind == CLUSTER:
-        return _on_hyperplane(spec, spec.points[dr.center])
-    return False
-
-
-def _on_hyperplane(spec: SchemeSpec, pt: FatPoint) -> bool:
-    pl = pt.placement
-    if pl.kind == SUBSPACE:
-        return pl.dim <= spec.n - 1
-    if pl.kind == EXPLICIT:
-        return pl.coords[spec.n] == 0
-    return False
-
-
 def castelnuovo_split(spec: SchemeSpec) -> tuple[SchemeSpec, SchemeSpec]:
     """Kernel and trace of restriction to the flag hyperplane H_{n-1}.
 
@@ -486,14 +429,9 @@ def castelnuovo_split(spec: SchemeSpec) -> tuple[SchemeSpec, SchemeSpec]:
     kernel_points: list[FatPoint] = []
     trace_points: list[FatPoint] = []
     for pt in spec.points:
-        on_h = _on_hyperplane(spec, pt)
-        dirs_on = tuple(
-            dr for dr in pt.directions if _direction_on_hyperplane(spec, dr)
-        )
-        dirs_off = tuple(
-            dr for dr in pt.directions if not _direction_on_hyperplane(spec, dr)
-        )
-        if on_h:
+        dirs_on = tuple(dr for dr in pt.directions if _in_flag(dr, n - 1))
+        dirs_off = tuple(dr for dr in pt.directions if not _in_flag(dr, n - 1))
+        if _in_flag(pt.placement, n - 1):
             if pt.multiplicity > 1:
                 kernel_points.append(
                     FatPoint(pt.placement, pt.multiplicity - 1, dirs_off)

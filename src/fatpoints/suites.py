@@ -322,18 +322,24 @@ def _run_cases(name, cases, primes, seeds, budget=None) -> SuiteResult:
 # -------------------------------------------------------------------- suites
 
 
-def run_ah_suite(n_max: int = 4, d_max: int = 6, manifest: dict | None = None) -> SuiteResult:
+def run_ah_suite(
+    n_max: int | None = None, d_max: int | None = None, manifest: dict | None = None
+) -> SuiteResult:
     """Speciality of all double-point systems on the (n, d, h) grid.
 
-    Covers every h up to k(n,d) for n <= n_max, d <= d_max, then appends any
-    of the four exceptional triples missed by the grid (one has h above k).
-    Each exceptional system must also compute dimension 0.
+    Covers every h up to k(n,d) for n <= n_max, d <= d_max (by default the
+    manifest's grid), then appends any of the four exceptional triples missed
+    by the grid (one has h above k). Each exceptional system must also compute
+    dimension 0.
     """
     conf = (manifest or load_manifest())["suites"]["ah"]
+    grid = conf["grid"]
+    n_max = grid["n_max"] if n_max is None else n_max
+    d_max = grid["d_max"] if d_max is None else d_max
     sporadic = {tuple(t) for t in conf["sporadics"]}
     cases = []
     seen = set()
-    d_min = conf["grid"].get("d_min", 2)
+    d_min = grid.get("d_min", 2)
     for n in range(1, n_max + 1):
         for d in range(d_min, d_max + 1):
             top = int(k(n, d))
@@ -390,8 +396,8 @@ def run_theorem2_suite(manifest: dict | None = None, budget: float | None = None
     conf = (manifest or load_manifest())["suites"]["theorem2"]
     if budget is None:
         budget = conf.get("budget", DEFAULT_BUDGET)
-    return _run_cases("theorem2", conf["cases"], conf.get("primes", [0]) or [0],
-                      conf["seeds"], budget=budget)
+    primes = sorted({p for case in conf["cases"] for p in case["primes"]})
+    return _run_cases("theorem2", conf["cases"], primes, conf["seeds"], budget=budget)
 
 
 _SUITES = {

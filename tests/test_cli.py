@@ -61,13 +61,39 @@ def test_dim_multiple_specs_and_special_tag(capsys):
 
 def test_dim_flag_overrides(capsys):
     code, payload, _ = run_json(
-        capsys, ["dim", "L(3,3;2^4)", "--primes", "32003,65521", "--seeds", "0,1"]
+        capsys,
+        ["dim", "L(3,3;2^4)", "--prime", "32003", "--prime", "65521",
+         "--seed", "0", "--seed", "1"],
     )
     assert code == 0
     assert payload["primes"] == [32003, 65521]
     assert payload["seeds"] == [0, 1]
-    code, payload, _ = run_json(capsys, ["dim", "L(3,3;2^4)", "--trials", "2"])
-    assert payload["seeds"] == [0, 1]
+    assert payload["result"]["primes"] == [32003, 65521]
+    assert payload["result"]["seeds"] == [0, 1]
+    # one use replaces the default list, it does not extend it
+    code, payload, _ = run_json(capsys, ["dim", "L(3,3;2^4)", "--seed", "5"])
+    assert payload["primes"] == [32003]
+    assert payload["seeds"] == [5]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["seq", "--n", "2", "--d", "4", "--prime", "7"],
+        ["suite", "prop23", "--prime", "7"],
+        ["identif", "--n", "2", "--d", "5", "--seed", "3"],
+        ["ah", "--budget", "1"],
+        ["dim", "L(3,3;2^4)", "--trials", "2"],
+        ["dim", "L(3,3;2^4)", "--primes", "32003,65521"],
+        ["castelnuovo", "L(3,4;3@H2,2^3)", "--seeds", "0,1"],
+        ["collide", "--op", "chords", "--n", "3", "--csv"],
+        ["cremona", "L(2,2;2)", "--prime", "7", "--csv"],
+    ],
+)
+def test_unread_option_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "error:" in err
 
 
 def test_dim_syntax_error_exit_2(capsys):
@@ -80,6 +106,14 @@ def test_dim_semantic_error_exit_2(capsys):
     code, _, err = run(capsys, ["dim", "L(2,3;2@H5)"])
     assert code == 2
     assert "item 0" in err
+
+
+def test_collide_prime_bound_usage_error(capsys):
+    code, out, err = run(
+        capsys, ["collide", "--op", "chords", "--n", "3", "--prime", "4294967311"]
+    )
+    assert code == 2 and out == ""
+    assert "prime 4294967311 must be below 2147483648" in err
 
 
 def test_prime_bound_usage_error(capsys):
@@ -134,6 +168,13 @@ def test_cremona_fiber_type(capsys):
     assert "verdict=fiber-type" in out
 
 
+def test_cremona_reports_its_seed(capsys):
+    code, payload, _ = run_json(capsys, ["cremona", "L(2,2;2)", "--prime", "7"])
+    assert code == 0
+    assert payload["primes"] == [7]
+    assert payload["seeds"] == [0]
+
+
 def test_cremona_wrong_dimension_exit_1(capsys):
     code, _, err = run(capsys, ["cremona", "L(2,4;2^5)"])
     assert code == 1
@@ -157,6 +198,15 @@ def test_identif_budget_skips_census(capsys):
     assert payload["result"]["status"] == "identifiable"
     assert payload["result"]["censuses"] == []
     assert payload["result"]["corroborated"] is True
+    assert payload["primes"] == [] and payload["seeds"] == []
+
+
+def test_identif_reports_its_census_primes(capsys):
+    code, payload, _ = run_json(capsys, ["identif", "--n", "2", "--d", "4"])
+    assert code == 0
+    assert payload["primes"] == [499, 251]
+    assert payload["seeds"] == [0]
+    assert [c["prime"] for c in payload["cases"]] == [499, 251]
 
 
 def test_identif_inconclusive_census_is_not_corroboration(capsys):
@@ -214,6 +264,8 @@ def test_suite_subcommand(capsys):
     assert code == 0
     assert payload["result"]["suites"][0]["suite"] == "prop23"
     assert payload["result"]["passed"] is True
+    assert payload["primes"] == [32003, 65521]
+    assert payload["seeds"] == [0]
     code, _, err = run(capsys, ["suite", "bogus"])
     assert code == 2
     assert "unknown suite" in err

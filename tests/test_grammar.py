@@ -173,9 +173,21 @@ def test_parse_print_round_trip(spec):
     assert print_spec(parse_spec(text)) == text
 
 
-def test_json_mirror_round_trip():
-    spec = parse_spec("L(4,3;3[2@H2]@H1,2^3,1[2]@pt0)")
-    again = SchemeSpec.from_dict(spec.to_dict())
-    assert again == spec
-    exp = SchemeSpec(2, 3, (FatPoint(Placement.explicit((1, 2, 3)), 2),))
-    assert SchemeSpec.from_dict(exp.to_dict()) == exp
+def test_to_dict_shows_inexpressible_specs():
+    exp = SchemeSpec(
+        2, 3, (FatPoint(Placement.explicit((1, 2, 0)), 2, (Placement.on_subspace(1),)),)
+    )
+    assert exp.to_dict() == {
+        "n": 2,
+        "d": 3,
+        "points": [
+            {
+                "multiplicity": 2,
+                "placement": {"kind": "explicit", "coords": [1, 2, 0]},
+                "directions": [{"kind": "subspace", "dim": 1}],
+            }
+        ],
+    }
+    cluster = parse_spec("L(2,3;2,1[1@pt0]@pt0)").to_dict()["points"][1]
+    assert cluster["placement"] == {"kind": "cluster", "center": 0}
+    assert cluster["directions"] == [{"kind": "cluster", "center": 0}]
