@@ -2,9 +2,20 @@
 fiber census over P^n(F_p).
 
 The census evaluates all n+1 forms on every point of P^n(F_p), chart by chart
-as grids of canonical representatives (first nonzero coordinate 1), drops base
-points, and buckets the normalized images. Generic fiber size 1 across two primes is
+as grids of canonical representatives (first nonzero coordinate 1), and counts
+the points over each target point. Generic fiber size 1 across two primes is
 the working notion of birationality; a small image signals fiber type.
+
+Evaluation contracts the forms against a power table in float64 BLAS, one
+variable at a time. A stage sums d+1 residue products, at most (d+1)(p-1)^2,
+which is exact while at most 2^52; larger p are refused. An image x is keyed
+by its position in the canonical enumeration (charts in order, x_n fastest):
+Horner in base p over y = x / x_lead, with digit 1 - y_j up to and including
+the lead and y_j after it, so a base point (every digit 1) lands on
+|P^n(F_p)|. Positions are int64 (p^(n+1) > 2^63 is refused). The counts are
+one int64 array of |P^n(F_p)| + 1 entries, 8 (|P^n(F_p)| + 1) bytes; besides
+it a census holds one chart's evaluation tensors, over a trailing grid of at
+most 2^18 points, and at the end a histogram as long as the largest fiber.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ from math import comb
 
 import numpy as np
 
-from .ffield import FieldMatrix, is_prime, kernel_basis, rank
+from .ffield import _EXACT, FieldMatrix, _reduce, is_prime, kernel_basis, rank
 from .formulas import is_perfect, k
 from .monomials import MonomialBasis, _power_table, monomial_basis
 from .schemes import SchemeSpec, condition_matrix, double_points
@@ -98,13 +109,14 @@ def _chart_images(m: RationalMap, chunk: int = _CHUNK):
 
     Chart lead = k is x_0..x_{k-1} = 0, x_k = 1 over F_p^{n-k} (x_n fastest). Its
     forms, a tensor over the exponents of x_{k+1}..x_n, are contracted one variable
-    at a time against V[e, x] = x^e mod p, reduced after each stage of d+1 residue
-    products: once per chart for the trailing variables whose grid fits in a chunk,
-    then per value of each leading variable, one chunk per leading point.
+    at a time against V[e, x] = x^e mod p in float64 BLAS, reduced after each stage
+    of d+1 residue products: once per chart for the trailing variables whose grid
+    fits in a chunk, then per value of each leading variable, one chunk per
+    leading point. Yields float64 residues, one row per point.
     """
     n, d, p = m.n, m.d, m.prime
     size = d + 1
-    vand = _power_table(np.arange(p, dtype=np.int64), d, p).T
+    vand = _power_table(np.arange(p, dtype=np.int64), d, p).T.astype(np.float64)
     exps = m.basis.exponent_array
     for lead in range(n + 1):
         free = n - lead
@@ -113,13 +125,13 @@ def _chart_images(m: RationalMap, chunk: int = _CHUNK):
             trail += 1
         keep = ~exps[:, :lead].any(axis=1)
         flat = exps[keep, lead + 1 :] @ size ** np.arange(free - 1, -1, -1)
-        tensor = np.zeros((n + 1, size**free), dtype=np.int64)
+        tensor = np.zeros((n + 1, size**free))
         tensor[:, flat] = m.coeffs[:, keep] % p
         # axes: leading exponents, forms, trailing exponents
         lead_axes = free - trail
         tensor = np.moveaxis(tensor.reshape((n + 1,) + (size,) * free), 0, lead_axes)
         for _ in range(trail):
-            tensor = np.tensordot(tensor, vand, axes=([lead_axes + 1], [0])) % p
+            tensor = _reduce(np.tensordot(tensor, vand, axes=([lead_axes + 1], [0])), p)
         yield from _leading_values(tensor.reshape(tensor.shape[: lead_axes + 1] + (-1,)), vand, p)
 
 
@@ -128,13 +140,23 @@ def _leading_values(tensor: np.ndarray, vand: np.ndarray, p: int):
         yield tensor.T
     else:
         for column in vand.T:
-            yield from _leading_values(np.tensordot(column, tensor, axes=1) % p, vand, p)
+            yield from _leading_values(_reduce(np.tensordot(column, tensor, axes=1), p), vand, p)
 
 
-def _normalize_rows(vals: np.ndarray, p: int, inv_table: np.ndarray) -> np.ndarray:
-    lead_idx = np.argmax(vals != 0, axis=1)
-    lead = vals[np.arange(len(vals)), lead_idx]
-    return vals * inv_table[lead][:, None] % p
+def _positions(vals: np.ndarray, p: int, inv_table: np.ndarray) -> np.ndarray:
+    """Position in the canonical enumeration of P^n(F_p) of each column of the
+    residues vals, by Horner over the coordinates (see the module docstring);
+    a zero column lands on |P^n(F_p)|."""
+    idx = np.zeros(vals.shape[1], dtype=np.int64)
+    scale = np.zeros(vals.shape[1], dtype=np.int64)  # inv(lead) once the lead is passed
+    for row in vals.astype(np.int64):
+        before = scale == 0
+        scale[before] = inv_table[row[before]]
+        row *= scale
+        row -= row // p * p  # row % p, without numpy's slower int64 remainder
+        idx *= p
+        idx += np.where(before, 1 - row, row)
+    return idx
 
 
 def fiber_census(m: RationalMap, budget: float = DEFAULT_BUDGET) -> FiberCensus:
@@ -148,35 +170,22 @@ def fiber_census(m: RationalMap, budget: float = DEFAULT_BUDGET) -> FiberCensus:
             f"census cost {cost:.2e} exceeds budget {budget:.0e}; "
             f"largest affordable prime is ~{smaller}"
         )
-    if (m.d + 1) * (p - 1) ** 2 >= 2**63:
-        # each evaluation stage is an int64 sum of d+1 residue products
-        raise ValueError(f"int64 sums of {m.d + 1} residue products overflow at p={p}")
+    if (m.d + 1) * (p - 1) ** 2 > _EXACT:
+        raise ValueError(f"float64 sums of {m.d + 1} residue products overflow 2^52 at p={p}")
     if p ** (n + 1) > 2**63:
-        # image keys run up to p^(n+1) - 1
         raise ValueError(f"int64 image keys overflow at p={p}, n={n}")
     inv_table = np.zeros(p, dtype=np.int64)
     inv_table[1:] = np.array([pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
-    weights = (p ** np.arange(n, -1, -1)).astype(np.int64)
 
-    base = 0
-    key_chunks: list[np.ndarray] = []
+    counts = np.zeros(domain + 1, dtype=np.int64)
     for imgs in _chart_images(m):
-        nonbase = imgs.any(axis=1)
-        base += int(len(imgs) - nonbase.sum())
-        imgs = imgs[nonbase]
-        if len(imgs):
-            imgs = _normalize_rows(imgs, p, inv_table)
-            key_chunks.append(imgs @ weights)
-    if key_chunks:
-        keys = np.concatenate(key_chunks)
-        _, counts = np.unique(keys, return_counts=True)
-        sizes, freq = np.unique(counts, return_counts=True)
-        histogram = {int(s): int(f) for s, f in zip(sizes, freq)}
-        image_size = int(counts.size)
-        unique_mass = int(counts[counts == 1].size)
-        fraction_unique = unique_mass / float(keys.size)
-    else:
-        histogram, image_size, fraction_unique = {}, 0, 0.0
+        np.add.at(counts, _positions(imgs.T, p, inv_table), 1)
+    base = int(counts[domain])
+    freq = np.bincount(counts[:domain])
+    histogram = {int(s): int(freq[s]) for s in np.flatnonzero(freq[1:]) + 1}
+    image_size = int(freq[1:].sum())
+    total = domain - base
+    fraction_unique = int(freq[1]) / float(total) if total else 0.0
     census = FiberCensus(
         prime=p,
         domain_size=domain,

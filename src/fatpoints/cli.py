@@ -17,6 +17,7 @@ from dataclasses import asdict
 
 from ._version import __version__
 from .census import (
+    CENSUS_PRIMES,
     DEFAULT_BUDGET,
     fiber_census,
     identifiability_verdict,
@@ -26,7 +27,7 @@ from .collisions import collision1_check, indip_check, limit_multiplicity_check
 from .ffield import DEFAULT_PRIMES, MAX_MODULUS
 from .formulas import hs_sequences, verify_sequence_properties
 from .grammar import SpecSemanticError, SpecSyntaxError, parse_spec
-from .schemes import castelnuovo_split, dimension
+from .schemes import PrimeBoundError, castelnuovo_split, dimension
 from .suites import (
     csv_summary,
     json_report,
@@ -65,6 +66,9 @@ _OPTIONS = {
     "primes": ("--prime", dict(
         type=_prime, action=_Repeat, default=DEFAULT_PRIMES[:1], metavar="PRIME",
         help="working prime; repeatable (default 32003)")),
+    "census_primes": ("--prime", dict(
+        type=_prime, action=_Repeat, default=None, metavar="PRIME",
+        help="census prime; repeatable (default: the two census primes of dimension n)")),
     "prime": ("--prime", dict(
         type=_prime, default=DEFAULT_PRIMES[0], help="working prime (default 32003)")),
     "seeds": ("--seed", dict(
@@ -106,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, required=True)
 
     sp = command("cremona", "fiber census of the attached self-map",
-                 "primes", "seed", "budget")
+                 "census_primes", "seed", "budget")
     sp.add_argument("spec")
 
     sp = command("identif", "uniqueness of generic power decompositions", "budget")
@@ -131,20 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _check_prime_bounds(specs, primes) -> None:
-    for spec in specs:
-        mults = [pt.multiplicity for pt in spec.points]
-        bound = max([spec.d] + mults)
-        for p in primes:
-            if p <= bound:
-                raise UsageError(
-                    f"prime {p} must exceed max(degree, multiplicities) = {bound}"
-                )
-
-
 def _cmd_dim(args):
     specs = [parse_spec(s) for s in args.spec]
-    _check_prime_bounds(specs, args.primes)
     cases = []
     lines = []
     for text, spec in zip(args.spec, specs):
@@ -205,10 +197,12 @@ def _cmd_seq(args):
 
 def _cmd_cremona(args):
     spec = parse_spec(args.spec)
-    _check_prime_bounds([spec], args.primes)
+    primes = args.census_primes or list(CENSUS_PRIMES.get(spec.n, ()))
+    if not primes:
+        raise UsageError(f"no census primes for n={spec.n}; give --prime")
     cases = []
     lines = []
-    for p in args.primes:
+    for p in primes:
         m = map_from_system(spec, p, args.seed)
         c = fiber_census(m, args.budget)
         cases.append({"prime": p, "result": c.as_dict(), "passed": c.verdict != "inconclusive"})
@@ -227,7 +221,7 @@ def _cmd_cremona(args):
         "cases": cases,
         "passed": passed,
         "lines": lines,
-        "primes": args.primes,
+        "primes": primes,
         "seeds": [args.seed],
     }
 
@@ -299,7 +293,6 @@ def _cmd_collide(args):
 
 def _cmd_castelnuovo(args):
     spec = parse_spec(args.spec)
-    _check_prime_bounds([spec], args.primes)
     kernel, trace = castelnuovo_split(spec)
     h0 = {}
     for name, s in (("system", spec), ("kernel", kernel), ("trace", trace)):
@@ -386,7 +379,7 @@ def _main(argv) -> int:
     t0 = time.perf_counter()
     try:
         out = _COMMANDS[args.cmd](args)
-    except (SpecSyntaxError, SpecSemanticError, UsageError) as exc:
+    except (SpecSyntaxError, SpecSemanticError, UsageError, PrimeBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

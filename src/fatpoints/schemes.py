@@ -195,6 +195,10 @@ def _normalize(v: np.ndarray, p: int) -> np.ndarray:
     return v
 
 
+class PrimeBoundError(ValueError):
+    """The prime is at most the degree or a multiplicity of the system."""
+
+
 def _point_rng(prime: int, seed: int, index: int) -> np.random.Generator:
     # per-point substream: appending points never moves earlier samples
     return np.random.default_rng(np.random.SeedSequence([prime, seed, index]))
@@ -208,9 +212,9 @@ def sample(spec: SchemeSpec, prime: int, seed: int) -> SampledScheme:
     extensions on the same configuration.
     """
     p = check_modulus(prime)
-    max_mult = max((pt.multiplicity for pt in spec.points), default=1)
-    if p <= spec.d or p <= max_mult:
-        raise ValueError(f"prime {p} must exceed degree {spec.d} and multiplicities")
+    bound = max([spec.d] + [pt.multiplicity for pt in spec.points])
+    if p <= bound:
+        raise PrimeBoundError(f"prime {p} must exceed max(degree, multiplicities) = {bound}")
     pts: list[np.ndarray] = []
     dirs: list[tuple[np.ndarray, ...]] = []
     for idx, pt in enumerate(spec.points):

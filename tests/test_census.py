@@ -2,7 +2,7 @@ import json
 from collections import Counter
 from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 import pytest
@@ -25,6 +25,7 @@ from fatpoints.census import (
 )
 from fatpoints.census import _chart_images
 from fatpoints.cli import main
+from fatpoints.ffield import is_prime
 from fatpoints.grammar import parse_spec
 from fatpoints.monomials import monomial_basis
 from fatpoints.schemes import double_points
@@ -84,7 +85,7 @@ def python_census(m):
         fibers[tuple(v * inv % p for v in img)] += 1
     hist = Counter(fibers.values())
     total = sum(fibers.values())
-    return base, len(fibers), dict(hist), hist[1] / total
+    return base, len(fibers), dict(hist), hist[1] / total if total else 0.0
 
 
 @pytest.mark.parametrize("n, d, h, p", [(2, 5, 6, 13), (3, 3, 4, 11), (4, 2, None, 5)])
@@ -97,6 +98,42 @@ def test_fiber_census_matches_python_census(n, d, h, p):
     c = fiber_census(m)
     assert (c.base_points, c.image_size, c.histogram, c.fraction_unique) == python_census(m)
     assert c.verdict == classify(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_fiber_census_matches_python_census_on_random_maps(data):
+    n = data.draw(st.integers(1, 4), label="n")
+    d = data.draw(st.integers(1, 4), label="d")
+    fits = [q for q in (5, 7, 11, 13) if projective_count(n, q) * comb(n + d, n) <= 100_000]
+    p = data.draw(st.sampled_from(fits), label="p")
+    size = comb(n + d, n)
+    entries = st.lists(st.integers(0, p - 1), min_size=size, max_size=size)
+    coeffs = np.array(data.draw(st.lists(entries, min_size=n + 1, max_size=n + 1)), dtype=np.int64)
+    zero = data.draw(st.none() | st.integers(0, n), label="zero form")
+    if zero is not None:
+        coeffs[zero] = 0
+    m = RationalMap(n, d, p, 0, coeffs)
+    c = fiber_census(m)
+    assert (c.base_points, c.image_size, c.histogram, c.fraction_unique) == python_census(m)
+
+
+def test_all_zero_map_is_all_base_points():
+    m = RationalMap(2, 2, 7, 0, np.zeros((3, 6), dtype=np.int64))
+    c = fiber_census(m)
+    assert c.base_points == c.domain_size == 57
+    assert (c.histogram, c.image_size, c.fraction_unique) == ({}, 0, 0.0)
+
+
+def test_fiber_census_refuses_the_first_prime_past_exact_float64_sums():
+    # d = 1: each stage sums 2 residue products, exact while 2 (p-1)^2 <= 2^52
+    p = next_odd_prime(isqrt(2**51) + 1)
+    below = p - 2
+    while not is_prime(below):
+        below -= 2
+    assert 2 * (below - 1) ** 2 <= 2**52 < 2 * (p - 1) ** 2
+    with pytest.raises(ValueError, match="overflow"):
+        fiber_census(RationalMap(1, 1, p, 0, np.eye(2, dtype=np.int64)))
 
 
 def test_fiber_census_refuses_overflowing_keys():

@@ -125,6 +125,13 @@ def test_prime_bound_usage_error(capsys):
     assert "prime 4294967311 must be below 2147483648" in err
 
 
+def test_collide_merge_prime_bound_usage_error(capsys):
+    # collide has no spec to check; the bound is raised where the points are sampled
+    code, out, err = run(capsys, ["collide", "--op", "merge", "--n", "2", "--d", "4", "--prime", "3"])
+    assert code == 2 and out == ""
+    assert "prime 3 must exceed max(degree, multiplicities) = 4" in err
+
+
 def test_seq_output(capsys):
     code, out, _ = run(capsys, ["seq", "--n", "5", "--d", "4"])
     assert code == 0
@@ -173,6 +180,19 @@ def test_cremona_reports_its_seed(capsys):
     assert code == 0
     assert payload["primes"] == [7]
     assert payload["seeds"] == [0]
+
+
+def test_cremona_defaults_to_the_census_primes(capsys):
+    code, payload, _ = run_json(capsys, ["cremona", "L(2,2;2)"])
+    assert code == 0
+    assert payload["primes"] == [499, 251]
+    assert [c["prime"] for c in payload["cases"]] == [499, 251]
+
+
+def test_cremona_without_census_primes_needs_prime(capsys):
+    code, out, err = run(capsys, ["cremona", "L(6,2;2)"])
+    assert code == 2 and out == ""
+    assert "give --prime" in err
 
 
 def test_cremona_wrong_dimension_exit_1(capsys):
