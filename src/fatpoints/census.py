@@ -12,10 +12,13 @@ which is exact while at most 2^52; larger p are refused. An image x is keyed
 by its position in the canonical enumeration (charts in order, x_n fastest):
 Horner in base p over y = x / x_lead, with digit 1 - y_j up to and including
 the lead and y_j after it, so a base point (every digit 1) lands on
-|P^n(F_p)|. Positions are int64 (p^(n+1) > 2^63 is refused). The counts are
-one int64 array of |P^n(F_p)| + 1 entries, 8 (|P^n(F_p)| + 1) bytes; besides
-it a census holds one chart's evaluation tensors, over a trailing grid of at
-most 2^18 points, and at the end a histogram as long as the largest fiber.
+|P^n(F_p)|. The digits y_j = x_j inv(x_lead) mod p are taken on the float64
+residues by `ffield._reduce`, exact as x_j inv(x_lead) <= (p-1)^2 < 2^52;
+only the positions are int64 (p^(n+1) > 2^63 is refused). The counts are one
+int64 array of |P^n(F_p)| + 1 entries, 8 (|P^n(F_p)| + 1) bytes, refused when
+it cannot be allocated; besides it a census holds one chart's evaluation
+tensors, over a trailing grid of at most 2^18 points, and at the end a
+histogram as long as the largest fiber.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ class RationalMap:
     prime: int
     seed: int
     coeffs: np.ndarray = field(repr=False)  # (n+1, |basis|) reduced mod p
-    source: str = ""
 
     @property
     def basis(self) -> MonomialBasis:
@@ -73,13 +75,7 @@ def map_from_system(spec: SchemeSpec, prime: int, seed: int) -> RationalMap:
         )
     coeffs = np.vstack(forms)
     coeffs.setflags(write=False)
-    from .grammar import print_spec
-
-    try:
-        source = print_spec(spec)
-    except ValueError:
-        source = f"<spec n={spec.n} d={spec.d} ({len(spec.points)} points)>"
-    return RationalMap(spec.n, spec.d, prime, seed, coeffs, source)
+    return RationalMap(spec.n, spec.d, prime, seed, coeffs)
 
 
 @dataclass(frozen=True)
@@ -145,17 +141,17 @@ def _leading_values(tensor: np.ndarray, vand: np.ndarray, p: int):
 
 def _positions(vals: np.ndarray, p: int, inv_table: np.ndarray) -> np.ndarray:
     """Position in the canonical enumeration of P^n(F_p) of each column of the
-    residues vals, by Horner over the coordinates (see the module docstring);
-    a zero column lands on |P^n(F_p)|."""
+    float64 residues vals, by Horner over the coordinates (see the module
+    docstring); a zero column lands on |P^n(F_p)|."""
     idx = np.zeros(vals.shape[1], dtype=np.int64)
-    scale = np.zeros(vals.shape[1], dtype=np.int64)  # inv(lead) once the lead is passed
-    for row in vals.astype(np.int64):
+    scale = np.zeros(vals.shape[1])  # inv(lead) once the lead is passed
+    for row in vals:
         before = scale == 0
-        scale[before] = inv_table[row[before]]
-        row *= scale
-        row -= row // p * p  # row % p, without numpy's slower int64 remainder
+        scale[before] = inv_table[row[before].astype(np.intp)]
+        y = _reduce(row * scale, p)
+        y -= before  # up to the lead y is 0 or 1, and |y - 1| = 1 - y
         idx *= p
-        idx += np.where(before, 1 - row, row)
+        idx += np.abs(y, out=y).astype(np.int64)
     return idx
 
 
@@ -174,10 +170,15 @@ def fiber_census(m: RationalMap, budget: float = DEFAULT_BUDGET) -> FiberCensus:
         raise ValueError(f"float64 sums of {m.d + 1} residue products overflow 2^52 at p={p}")
     if p ** (n + 1) > 2**63:
         raise ValueError(f"int64 image keys overflow at p={p}, n={n}")
-    inv_table = np.zeros(p, dtype=np.int64)
-    inv_table[1:] = np.array([pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
-
-    counts = np.zeros(domain + 1, dtype=np.int64)
+    inv_table = np.zeros(p)
+    inv_table[1:] = [pow(x, -1, p) for x in range(1, p)]
+    try:
+        counts = np.zeros(domain + 1, dtype=np.int64)
+    except MemoryError:
+        raise ValueError(
+            f"census needs {8 * (domain + 1)} bytes ({8 * (domain + 1) / 2**30:.2f} GiB) "
+            f"for its fiber counts at p={p}; use a smaller prime"
+        ) from None
     for imgs in _chart_images(m):
         np.add.at(counts, _positions(imgs.T, p, inv_table), 1)
     base = int(counts[domain])

@@ -77,6 +77,8 @@ _OPTIONS = {
     "seed": ("--seed", dict(type=int, default=0, help="sampling seed (default 0)")),
     "budget": ("--budget", dict(
         type=float, default=DEFAULT_BUDGET, help="op budget for censuses")),
+    "suite_budget": ("--budget", dict(
+        type=float, default=None, help="op budget for censuses (default: the manifest's)")),
     "csv": ("--csv", dict(action="store_true", help="emit a CSV summary")),
     "json": ("--json", dict(action="store_true", help="emit the JSON report")),
 }
@@ -128,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("castelnuovo", "hyperplane restriction split", "primes", "seeds")
     sp.add_argument("spec")
 
-    sp = command("suite", "run manifest suites", "csv", "budget")
+    sp = command("suite", "run manifest suites", "csv", "suite_budget")
     sp.add_argument("names", nargs="*", help=f"subset of {', '.join(suite_names())}")
     sp.add_argument("--manifest", help="alternate manifest path")
 
@@ -325,7 +327,7 @@ def _cmd_suite(args):
         raise UsageError(f"unknown suite(s): {', '.join(bad)}")
     results = []
     for nm in names:
-        kwargs = {"budget": args.budget} if nm == "theorem2" else {}
+        kwargs = {"budget": args.suite_budget} if nm == "theorem2" else {}
         results.append(run_suite(nm, manifest=manifest, **kwargs))
     report = json_report(results)
     lines = []

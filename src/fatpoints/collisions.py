@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .ffield import DEFAULT_PRIMES, FieldMatrix, check_modulus, rank
+from .ffield import DEFAULT_PRIMES, FieldMatrix, check_modulus, normalize, rank
 from .formulas import collision_limit_degree, degree_identity
 from .monomials import evaluate_basis, monomial_basis
 from .schemes import (
@@ -22,7 +22,6 @@ from .schemes import (
     FatPoint,
     Placement,
     SchemeSpec,
-    _normalize,
     dimension,
     double_points,
 )
@@ -128,7 +127,7 @@ def indip_check(n: int, prime: int, seed: int) -> ChordTraceReport:
                 # <a_i, a_j> meets R where the last coordinate cancels
                 b = (pts[i][n] * pts[j] - pts[j][n] * pts[i]) % p
                 traces[(i, j)] = b
-        keys = {tuple(_normalize(v, p)) for v in traces.values() if v.any()}
+        keys = {tuple(normalize(v, p)) for v in traces.values() if v.any()}
         if len(keys) == comb(n + 1, 2):
             break
         attempt += 1

@@ -16,6 +16,11 @@ p < MAX_MODULUS:
 
 The reduced row echelon form is unique, so the pivots and `kernel_basis` do
 not depend on the batch size.
+
+This module owns the residue arithmetic of the package: `_reduce` is the one
+float64 reduction mod p, shared by elimination and the census, and `normalize`
+the one projective representative, shared by sampling, kernel vectors and
+`_proportional`.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
@@ -105,16 +110,15 @@ class FieldMatrix:
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     """x mod p in place, for float64 integers 0 <= x <= 2^52.
 
-    With 1/p rounded down and x <= 2^52, the product x * (1/p) is below x/p
-    by less than 1 and rounds to below the next integer above x/p, so
-    q = floor(x * (1/p)) is floor(x/p) or one less. x - q*p (exact, as
-    q*p <= x) then lies in [0, 2p) and one masked fix-up finishes it.
+    The correctly rounded quotient x/p is off by at most (x/p) 2^-53 <= 1/(2p).
+    If p does not divide x, x/p lies at least 1/p from every integer, so
+    q = floor(x/p) is exact; if p divides x, the quotient is exact. x - q*p is
+    then exact too, as q*p <= x.
     """
-    q = x * np.nextafter(1.0 / p, 0.0)
+    q = x / p
     np.floor(q, out=q)
     q *= p
     x -= q
-    np.subtract(x, p, out=x, where=x >= p)
     return x
 
 
@@ -228,22 +232,35 @@ def rank(m: FieldMatrix) -> int:
 
 
 def kernel_basis(m: FieldMatrix) -> list[np.ndarray]:
-    """Basis of the right kernel, one vector per free column.
+    """Basis of the right kernel, one vector per free column, each normalized.
 
-    Each vector is normalized so its first nonzero entry is 1.
+    The vector of free column f is 1 at f, 0 at the other free columns and
+    -red[i, f] at the pivot column of reduced row i.
     """
     p = m.p
     red, pivots = _eliminate(m.a, p)
-    free = sorted(set(range(m.cols)) - set(pivots))
-    basis = []
-    for f in free:
-        v = np.zeros(m.cols, dtype=np.int64)
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-int(red[i, f])) % p
-        nz = np.nonzero(v)[0]
-        lead = int(v[nz[0]])
-        if lead != 1:
-            v = v * pow(lead, -1, p) % p
-        basis.append(v)
-    return basis
+    free = np.setdiff1d(np.arange(m.cols), pivots)
+    basis = np.zeros((len(free), m.cols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -red[: len(pivots), free].T % p
+    return [normalize(v, p) for v in basis]
+
+
+def normalize(v, p: int) -> np.ndarray:
+    """The projective representative of v over F_p: its first nonzero entry is 1."""
+    v = np.asarray(v, dtype=np.int64) % p
+    nz = np.flatnonzero(v)
+    if nz.size == 0:
+        raise ValueError("zero vector has no projective representative")
+    lead = int(v[nz[0]])
+    if lead != 1:
+        v = v * pow(lead, -1, p) % p
+    return v
+
+
+def _proportional(a, b, p: int) -> bool:
+    """Projective proportionality over F_p; a zero vector is proportional to any."""
+    a, b = np.asarray(a, dtype=np.int64) % p, np.asarray(b, dtype=np.int64) % p
+    if not a.any() or not b.any():
+        return True
+    return np.array_equal(normalize(a, p), normalize(b, p))

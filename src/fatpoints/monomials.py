@@ -17,7 +17,7 @@ from math import factorial, prod
 
 import numpy as np
 
-from .ffield import MAX_MODULUS
+from .ffield import MAX_MODULUS, _proportional
 
 
 def _exponents(n: int, d: int) -> tuple[tuple[int, ...], ...]:
@@ -143,14 +143,3 @@ def _power_table(vec: np.ndarray, d: int, p: int) -> np.ndarray:
         pw[:, e] = pw[:, e - 1] * vec % p
     return pw
 
-
-def _proportional(a: np.ndarray, b: np.ndarray, p: int) -> bool:
-    """Projective proportionality over F_p (includes either being zero)."""
-    if not a.any() or not b.any():
-        return True
-    # all 2x2 minors vanish
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            if (int(a[i]) * int(b[j]) - int(a[j]) * int(b[i])) % p != 0:
-                return False
-    return True

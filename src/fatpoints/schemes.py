@@ -19,9 +19,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ffield import DEFAULT_PRIMES, FieldMatrix, check_modulus, rank
+from .ffield import DEFAULT_PRIMES, FieldMatrix, _proportional, check_modulus, normalize, rank
 from .formulas import AH_SPORADIC
-from .monomials import _proportional, monomial_basis, point_rows
+from .monomials import monomial_basis, point_rows
 
 GENERIC = "generic"
 SUBSPACE = "subspace"
@@ -184,17 +184,6 @@ class SampledScheme:
     directions: tuple[tuple[np.ndarray, ...], ...]
 
 
-def _normalize(v: np.ndarray, p: int) -> np.ndarray:
-    v = v % p
-    nz = np.nonzero(v)[0]
-    if nz.size == 0:
-        raise ValueError("zero vector has no projective representative")
-    lead = int(v[nz[0]])
-    if lead != 1:
-        v = v * pow(lead, -1, p) % p
-    return v
-
-
 class PrimeBoundError(ValueError):
     """The prime is at most the degree or a multiplicity of the system."""
 
@@ -230,20 +219,20 @@ def sample(spec: SchemeSpec, prime: int, seed: int) -> SampledScheme:
 
 def _sample_point(pl: Placement, n: int, p: int, rng, earlier) -> np.ndarray:
     if pl.kind == EXPLICIT:
-        return _normalize(np.array(pl.coords, dtype=np.int64), p)
+        return normalize(pl.coords, p)
     if pl.kind == CLUSTER:
         center = earlier[pl.center]
         while True:
             w = rng.integers(0, p, n + 1)
             v = (center + CLUSTER_SCALE * w) % p
             if v.any():
-                return _normalize(v.astype(np.int64), p)
+                return normalize(v, p)
     top = pl.dim if pl.kind == SUBSPACE else n
     while True:
         v = np.zeros(n + 1, dtype=np.int64)
         v[: top + 1] = rng.integers(0, p, top + 1)
         if v.any():
-            return _normalize(v, p)
+            return normalize(v, p)
 
 
 def _sample_direction(pl: Placement, at: np.ndarray, n: int, p: int, rng, earlier) -> np.ndarray:

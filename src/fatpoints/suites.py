@@ -337,42 +337,27 @@ def run_ah_suite(
     n_max = grid["n_max"] if n_max is None else n_max
     d_max = grid["d_max"] if d_max is None else d_max
     sporadic = {tuple(t) for t in conf["sporadics"]}
-    cases = []
-    seen = set()
     d_min = grid.get("d_min", 2)
-    for n in range(1, n_max + 1):
-        for d in range(d_min, d_max + 1):
-            top = int(k(n, d))
-            for h in range(1, top + 1):
-                expected = {"match": True}
-                if (n, d, h) in sporadic:
-                    expected = {"match": True, "special": True, "computed": 0}
-                seen.add((n, d, h))
-                cases.append(
-                    {
-                        "id": f"n{n}-d{d}-h{h}",
-                        "op": "ah",
-                        "n": n,
-                        "d": d,
-                        "h": h,
-                        "expected": expected,
-                        "origin": "derived",
-                    }
-                )
-    for n, d, h in sorted(sporadic):
-        if (n, d, h) in seen or n > n_max or d > d_max:
-            continue
-        cases.append(
-            {
-                "id": f"n{n}-d{d}-h{h}",
-                "op": "ah",
-                "n": n,
-                "d": d,
-                "h": h,
-                "expected": {"match": True, "special": True, "computed": 0},
-                "origin": "tabulated",
-            }
-        )
+
+    def case(n, d, h, origin):
+        expected = {"match": True}
+        if (n, d, h) in sporadic:
+            expected.update(special=True, computed=0)
+        return {"id": f"n{n}-d{d}-h{h}", "op": "ah", "n": n, "d": d, "h": h,
+                "expected": expected, "origin": origin}
+
+    on_grid = [
+        (n, d, h)
+        for n in range(1, n_max + 1)
+        for d in range(d_min, d_max + 1)
+        for h in range(1, int(k(n, d)) + 1)
+    ]
+    cases = [case(*t, "derived") for t in on_grid]
+    cases += [
+        case(n, d, h, "tabulated")
+        for n, d, h in sorted(sporadic - set(on_grid))
+        if n <= n_max and d <= d_max
+    ]
     return _run_cases("ah", cases, conf["primes"], conf["seeds"])
 
 

@@ -291,6 +291,20 @@ def test_suite_subcommand(capsys):
     assert "unknown suite" in err
 
 
+def test_suite_reads_the_manifest_budget(capsys, tmp_path):
+    manifest = {"suites": {"theorem2": {"seeds": [0], "budget": 1, "cases": [
+        {"id": "pencil", "op": "census", "n": 1, "d": 3, "h": 1, "primes": [499],
+         "expected": {"verdict": "birational"}},
+    ]}}}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    code, _, err = run(capsys, ["suite", "theorem2", "--manifest", str(path)])
+    assert code == 1
+    assert "exceeds budget 1e+00" in err
+    code, _, _ = run(capsys, ["suite", "theorem2", "--manifest", str(path), "--budget", "1e10"])
+    assert code == 0
+
+
 def test_argparse_exits():
     assert main([]) == 2
     assert main(["--version"]) == 0
@@ -350,3 +364,24 @@ def test_closed_pipe_exits_without_traceback():
         os.close(write_end)
     assert "Traceback" not in out.stderr
     assert out.returncode == 1
+
+
+def test_unallocatable_census_is_refused_without_traceback():
+    resource = pytest.importorskip("resource")
+    _, env = _checkout_env()
+    env["OPENBLAS_NUM_THREADS"] = "1"
+
+    def limit_address_space():
+        # the count array of P^2(F_32003) takes 7.63 GiB
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    argv = [sys.executable, "-m", "fatpoints", "cremona", "L(2,2;2)", "--prime", "32003"]
+    for extra in ([], ["--json"]):
+        out = subprocess.run(
+            argv + extra, capture_output=True, text=True, env=env, preexec_fn=limit_address_space
+        )
+        assert out.returncode == 1, out.stderr
+        assert "Traceback" not in out.stderr
+        message = json.loads(out.stdout)["error"] if extra else out.stderr
+        assert "8193792112 bytes (7.63 GiB)" in message
+        assert "smaller prime" in message

@@ -3,16 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fatpoints.census import next_odd_prime
 from fatpoints.ffield import (
     DEFAULT_PRIMES,
     MAX_MODULUS,
     FieldMatrix,
     _eliminate,
+    _proportional,
+    _reduce,
     check_modulus,
     is_prime,
     kernel_basis,
+    normalize,
     rank,
 )
+from test_ffield_oracle import PRIMES
 
 P = DEFAULT_PRIMES[0]
 
@@ -134,3 +139,49 @@ def test_rref_idempotent(rows):
     for j in piv1:
         col = once[:, j]
         assert col.sum() == 1 and col.max() == 1  # pivot columns are unit vectors
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.sampled_from(PRIMES), st.integers(2, MAX_MODULUS - 2).map(next_odd_prime)),
+    st.lists(st.integers(0, 2**52), min_size=1, max_size=50),
+)
+def test_reduce_is_python_remainder(p, xs):
+    got = _reduce(np.array(xs, dtype=np.float64), p)
+    assert got.astype(np.int64).tolist() == [x % p for x in xs]
+
+
+def minors_vanish(a, b, p) -> bool:
+    """The former definition of proportionality: a zero vector, or all 2x2 minors 0."""
+    a, b = [int(x) for x in a], [int(x) for x in b]
+    if not any(x % p for x in a) or not any(x % p for x in b):
+        return True
+    return all(
+        (a[i] * b[j] - a[j] * b[i]) % p == 0
+        for i in range(len(a))
+        for j in range(i + 1, len(a))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_normalize_and_proportional_match_minors(data):
+    p = data.draw(st.sampled_from([3, 5, 7, 32003, MAX_MODULUS - 1]), label="p")
+    size = data.draw(st.integers(1, 5), label="size")
+    vec = st.lists(st.integers(-3 * p, 3 * p), min_size=size, max_size=size)
+    a = np.array(data.draw(vec, label="a"), dtype=np.int64)
+    # b is often a multiple of a, sometimes of a zero vector
+    if data.draw(st.booleans(), label="multiple"):
+        b = a % p * data.draw(st.integers(0, p - 1), label="scale") % p
+    else:
+        b = np.array(data.draw(vec, label="b"), dtype=np.int64)
+    assert _proportional(a, b, p) == minors_vanish(a, b, p)
+    if not (a % p).any():
+        with pytest.raises(ValueError, match="zero vector"):
+            normalize(a, p)
+        return
+    rep = normalize(a, p)
+    assert rep[np.flatnonzero(rep)[0]] == 1
+    assert ((0 <= rep) & (rep < p)).all()
+    assert minors_vanish(rep, a, p)
+    assert np.array_equal(normalize(rep * 2, p), rep)
