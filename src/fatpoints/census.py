@@ -52,7 +52,6 @@ class RationalMap:
     n: int
     d: int
     prime: int
-    seed: int
     coeffs: np.ndarray = field(repr=False)  # (n+1, |basis|) reduced mod p
 
     @property
@@ -62,6 +61,11 @@ class RationalMap:
 
 def projective_count(n: int, p: int) -> int:
     return (p ** (n + 1) - 1) // (p - 1)
+
+
+def _census_cost(n: int, d: int, p: int) -> int:
+    """Operations of one census of a degree-d map of P^n over F_p."""
+    return projective_count(n, p) * comb(n + d, n)
 
 
 def map_from_system(spec: SchemeSpec, prime: int, seed: int) -> RationalMap:
@@ -75,7 +79,7 @@ def map_from_system(spec: SchemeSpec, prime: int, seed: int) -> RationalMap:
         )
     coeffs = np.vstack(forms)
     coeffs.setflags(write=False)
-    return RationalMap(spec.n, spec.d, prime, seed, coeffs)
+    return RationalMap(spec.n, spec.d, prime, coeffs)
 
 
 @dataclass(frozen=True)
@@ -159,9 +163,9 @@ def fiber_census(m: RationalMap, budget: float = DEFAULT_BUDGET) -> FiberCensus:
     """Image bucket counts for the whole rational point set of the source."""
     n, p = m.n, m.prime
     domain = projective_count(n, p)
-    cost = domain * len(m.basis)
+    cost = _census_cost(n, m.d, p)
     if cost > budget:
-        smaller = _suggest_prime(n, len(m.basis), budget)
+        smaller = _suggest_prime(n, m.d, budget)
         raise ValueError(
             f"census cost {cost:.2e} exceeds budget {budget:.0e}; "
             f"largest affordable prime is ~{smaller}"
@@ -198,10 +202,10 @@ def fiber_census(m: RationalMap, budget: float = DEFAULT_BUDGET) -> FiberCensus:
     return FiberCensus(**{**census.__dict__, "verdict": classify(census)})
 
 
-def _suggest_prime(n: int, basis_size: int, budget: float) -> int:
+def _suggest_prime(n: int, d: int, budget: float) -> int:
     p = 3
     best = 3
-    while projective_count(n, p) * basis_size <= budget:
+    while _census_cost(n, d, p) <= budget:
         best = p
         p = next_odd_prime(p)
     return best
@@ -305,7 +309,7 @@ def identifiability_verdict(
     if corroborate and n in CENSUS_PRIMES:
         runs = []
         for p in CENSUS_PRIMES[n]:
-            if projective_count(n, p) * comb(n + d, n) <= budget:
+            if _census_cost(n, d, p) <= budget:
                 runs.append(census_for_doubles(n, d, s - 1, p, budget=budget))
         censuses = tuple(runs)
     return IdentifiabilityVerdict(n, d, status, s, censuses)

@@ -24,7 +24,7 @@ from .census import (
     map_from_system,
 )
 from .collisions import collision1_check, indip_check, limit_multiplicity_check
-from .ffield import DEFAULT_PRIMES, MAX_MODULUS
+from .ffield import DEFAULT_PRIMES, check_modulus
 from .formulas import hs_sequences, verify_sequence_properties
 from .grammar import SpecSemanticError, SpecSyntaxError, parse_spec
 from .schemes import PrimeBoundError, castelnuovo_split, dimension
@@ -47,9 +47,10 @@ def _prime(text: str) -> int:
         p = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid prime {text!r}") from None
-    if p >= MAX_MODULUS:
-        raise argparse.ArgumentTypeError(f"prime {p} must be below {MAX_MODULUS}")
-    return p
+    try:
+        return check_modulus(p)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 class _Repeat(argparse.Action):

@@ -74,7 +74,7 @@ def check_modulus(p: int) -> int:
     if p <= 2 or not is_prime(p):
         raise ValueError(f"modulus must be an odd prime, got {p}")
     if p >= MAX_MODULUS:
-        raise ValueError(f"modulus {p} must be below {MAX_MODULUS} for int64 products")
+        raise ValueError(f"prime {p} must be below {MAX_MODULUS} for int64 products")
     return p
 
 

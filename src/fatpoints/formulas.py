@@ -81,12 +81,19 @@ class SequenceTable:
         }
 
 
+def _step(i: int, ai: int) -> tuple[int, int]:
+    """(h_{i-1}, s_{i-1}) from a_i: the unique t in the residue window with
+    i | (a_i - t); uniqueness holds because the window has width i."""
+    lo, hi = _window(i)
+    cand = [t for t in range(lo, hi + 1) if (ai - t) % i == 0]
+    assert len(cand) == 1, f"window must pin a unique residue, got {cand}"
+    return (ai - cand[0]) // i, cand[0]
+
+
 def hs_sequences(n: int, d: int) -> SequenceTable:
     """Downward recursion from the top-row anchors.
 
-    Anchors: s_n = binom(n+1,2), h_n = k - n - 2. Each step finds the unique
-    t in the residue window with i | (a_i - t); uniqueness holds because the
-    window has width i.
+    Anchors: s_n = binom(n+1,2), h_n = k - n - 2; then _step for i = n, ..., 3.
     """
     if not n >= d >= 4:
         raise ValueError(f"need n >= d >= 4, got ({n},{d})")
@@ -98,23 +105,14 @@ def hs_sequences(n: int, d: int) -> SequenceTable:
     h = {n: kk - n - 2}
     a = {}
     for i in range(n, 2, -1):
-        ai = a_seq(i, d)
-        a[i] = ai
-        lo, hi = _window(i)
-        cand = [t for t in range(lo, hi + 1) if (ai - t) % i == 0]
-        assert len(cand) == 1, f"window must pin a unique residue, got {cand}"
-        s[i - 1] = cand[0]
-        h[i - 1] = (ai - cand[0]) // i
+        a[i] = a_seq(i, d)
+        h[i - 1], s[i - 1] = _step(i, a[i])
     return SequenceTable(n=n, d=d, k=kk, h=h, s=s, a=a)
 
 
 def plane_row(d: int) -> tuple[int, int]:
     """(h_2, s_2) from the bottom recursion step alone; n-independent."""
-    a3 = a_seq(3, d)
-    lo, hi = _window(3)
-    cand = [t for t in range(lo, hi + 1) if (a3 - t) % 3 == 0]
-    assert len(cand) == 1
-    return (a3 - cand[0]) // 3, cand[0]
+    return _step(3, a_seq(3, d))
 
 
 def verify_sequence_properties(t: SequenceTable) -> dict[str, bool]:

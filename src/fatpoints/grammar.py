@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 
-from .schemes import GENERIC, CLUSTER, SUBSPACE, FatPoint, Placement, SchemeSpec
+from .schemes import CLUSTER, SUBSPACE, FatPoint, Placement, SchemeSpec
 
 
 class SpecSyntaxError(ValueError):
@@ -35,10 +35,10 @@ class SpecSyntaxError(ValueError):
 
 
 class SpecSemanticError(ValueError):
-    """Well-formed text with impossible placements; carries the item index."""
+    """Well-formed text naming no valid spec; carries the item index (None: header)."""
 
-    def __init__(self, message: str, item: int):
-        super().__init__(f"item {item}: {message}")
+    def __init__(self, message: str, item: int | None):
+        super().__init__(message if item is None else f"item {item}: {message}")
         self.item = item
 
 
@@ -78,32 +78,25 @@ class _Scanner:
         return re.fullmatch(r"\s*", self.text[self.pos :]) is not None
 
 
-def _parse_at(sc: _Scanner) -> tuple[str, int | None]:
-    """After '@': returns ("gen"|"H"|"pt", argument)."""
+def _parse_at(sc: _Scanner) -> Placement:
+    """An optional '@' suffix: the placement it names (generic when absent),
+    unchecked against the spec."""
+    if sc.peek() != "@":
+        return Placement.generic()
+    sc.next()
     at = sc.pos
     word = sc.next()
     if word == "gen":
-        return GENERIC, None
+        return Placement.generic()
     if word == "H":
-        return SUBSPACE, sc.integer()
+        return Placement.on_subspace(sc.integer())
     if word == "pt":
-        return CLUSTER, sc.integer()
+        return Placement.near_cluster(sc.integer())
     raise SpecSyntaxError(f"expected 'gen', 'H', or 'pt', got {word!r}", at)
 
 
-def _placement(kind: str, arg: int | None, n: int, item: int, role: str) -> Placement:
-    if kind == GENERIC:
-        return Placement.generic()
-    if kind == SUBSPACE:
-        if not 0 <= arg < n:
-            raise SpecSemanticError(
-                f"{role} on flag member H_{arg}, but 0 <= dim < n={n} required", item
-            )
-        return Placement.on_subspace(arg)
-    return Placement.near_cluster(arg)
-
-
 def parse_spec(text: str) -> SchemeSpec:
+    """The spec the text names; SchemeSpec judges it as each item is read."""
     sc = _Scanner(text)
     sc.expect("L")
     sc.expect("(")
@@ -111,37 +104,37 @@ def parse_spec(text: str) -> SchemeSpec:
     sc.expect(",")
     d = sc.integer()
     sc.expect(";")
+    try:
+        spec = SchemeSpec(n, d)
+    except ValueError as e:
+        raise SpecSemanticError(str(e), None) from e
     points: list[FatPoint] = []
-    item_index = 0
+    item = 0
     if sc.peek() != ")":
         while True:
-            points.extend(_parse_item(sc, n, item_index))
-            item_index += 1
-            tok = sc.peek()
-            if tok == ",":
-                sc.next()
-                continue
-            break
+            points.extend(_parse_item(sc, item))
+            # earlier items have passed, so a refusal names this one
+            try:
+                spec = SchemeSpec(n, d, tuple(points))
+            except ValueError as e:
+                raise SpecSemanticError(str(e), item) from e
+            item += 1
+            if sc.peek() != ",":
+                break
+            sc.next()
     sc.expect(")")
     if not sc.at_end():
         raise SpecSyntaxError("trailing input after ')'", sc.pos)
-    try:
-        return SchemeSpec(n, d, tuple(points))
-    except ValueError as e:
-        raise SpecSemanticError(str(e), item_index - 1) from e
+    return spec
 
 
-def _parse_item(sc: _Scanner, n: int, item: int) -> list[FatPoint]:
+def _parse_item(sc: _Scanner, item: int) -> list[FatPoint]:
     mult = sc.integer()
-    if mult < 1:
-        raise SpecSemanticError("multiplicity must be >= 1", item)
-    dir_count, dir_kind, dir_arg = 0, GENERIC, None
+    dir_count, dir_pl = 0, Placement.generic()
     if sc.peek() == "[":
         sc.next()
         dir_count = sc.integer()
-        if sc.peek() == "@":
-            sc.next()
-            dir_kind, dir_arg = _parse_at(sc)
+        dir_pl = _parse_at(sc)
         sc.expect("]")
     rep = 1
     if sc.peek() == "^":
@@ -149,15 +142,7 @@ def _parse_item(sc: _Scanner, n: int, item: int) -> list[FatPoint]:
         rep = sc.integer()
         if rep < 1:
             raise SpecSemanticError("repetition must be >= 1", item)
-    kind, arg = GENERIC, None
-    if sc.peek() == "@":
-        sc.next()
-        kind, arg = _parse_at(sc)
-    pl = _placement(kind, arg, n, item, "point")
-    dirs = tuple(
-        _placement(dir_kind, dir_arg, n, item, "direction") for _ in range(dir_count)
-    )
-    return [FatPoint(pl, mult, dirs) for _ in range(rep)]
+    return [FatPoint(_parse_at(sc), mult, (dir_pl,) * dir_count)] * rep
 
 
 def _at_suffix(pl: Placement) -> str:

@@ -105,36 +105,33 @@ class SchemeSpec:
         if pt.multiplicity < 1:
             raise ValueError(f"point {idx}: multiplicity must be >= 1")
         pl = pt.placement
-        if pl.kind == SUBSPACE and not 0 <= pl.dim < self.n:
-            raise ValueError(f"point {idx}: flag member dim must be in [0, {self.n - 1}]")
-        if pl.kind == EXPLICIT:
-            if len(pl.coords) != self.n + 1:
-                raise ValueError(f"point {idx}: explicit coords need {self.n + 1} entries")
-            if not any(pl.coords):
-                raise ValueError(f"point {idx}: explicit coords must be nonzero")
-        if pl.kind == CLUSTER and not 0 <= pl.center < idx:
-            raise ValueError(f"point {idx}: cluster center must reference an earlier point")
+        self._check_placement(pl, idx, f"point {idx}")
+        if pl.kind == EXPLICIT and not any(pl.coords):
+            raise ValueError(f"point {idx}: explicit coords must be nonzero")
         for t, dr in enumerate(pt.directions):
+            where = f"point {idx} direction {t}"
+            self._check_placement(dr, idx, where)
             if dr.kind == SUBSPACE:
-                if not 0 <= dr.dim < self.n:
-                    raise ValueError(f"point {idx} direction {t}: bad flag member dim")
                 if dr.dim < 1:
                     # H_0 is a single point, so it carries no direction
                     # projectively distinct from the base point
                     raise ValueError(
-                        f"point {idx} direction {t}: tangent to the 0-dimensional "
-                        "flag member is degenerate"
+                        f"{where}: tangent to the 0-dimensional flag member is degenerate"
                     )
-                if not _in_flag(pt.placement, dr.dim):
+                if not _in_flag(pl, dr.dim):
                     raise ValueError(
-                        f"point {idx} direction {t}: tangent to H_{dr.dim} "
-                        "requires the point to lie on it"
+                        f"{where}: tangent to H_{dr.dim} requires the point to lie on it"
                     )
-            if dr.kind == EXPLICIT and len(dr.coords) != self.n + 1:
-                raise ValueError(f"point {idx} direction {t}: explicit coords need {self.n + 1} entries")
-            if dr.kind == CLUSTER and not 0 <= dr.center < idx:
-                # sampling is sequential; chords may only aim at earlier points
-                raise ValueError(f"point {idx} direction {t}: chord target must be an earlier point")
+
+    def _check_placement(self, pl: Placement, idx: int, where: str) -> None:
+        """Flag range, coordinate count and point reference of one placement."""
+        if pl.kind == SUBSPACE and not 0 <= pl.dim < self.n:
+            raise ValueError(f"{where}: flag member dim must be in [0, {self.n - 1}]")
+        if pl.kind == EXPLICIT and len(pl.coords) != self.n + 1:
+            raise ValueError(f"{where}: explicit coords need {self.n + 1} entries")
+        if pl.kind == CLUSTER and not 0 <= pl.center < idx:
+            # sampling is sequential; a cluster or chord may only use earlier points
+            raise ValueError(f"{where}: must reference an earlier point, got point {pl.center}")
 
     @property
     def oversized_multiplicities(self) -> tuple[int, ...]:
@@ -177,9 +174,6 @@ def expected_dim(spec: SchemeSpec) -> int:
 
 @dataclass(frozen=True)
 class SampledScheme:
-    spec: SchemeSpec
-    prime: int
-    seed: int
     points: tuple[np.ndarray, ...]
     directions: tuple[tuple[np.ndarray, ...], ...]
 
@@ -214,7 +208,7 @@ def sample(spec: SchemeSpec, prime: int, seed: int) -> SampledScheme:
         )
         pts.append(coords)
         dirs.append(vecs)
-    return SampledScheme(spec, p, seed, tuple(pts), tuple(dirs))
+    return SampledScheme(tuple(pts), tuple(dirs))
 
 
 def _sample_point(pl: Placement, n: int, p: int, rng, earlier) -> np.ndarray:
@@ -268,15 +262,14 @@ def condition_matrix(spec: SchemeSpec, prime: int, seed: int) -> FieldMatrix:
             "degree (the system is certainly empty); dimension() handles it"
         )
     sm = sample(spec, prime, seed)
-    p = sm.prime
     basis = monomial_basis(spec.n, spec.d)
     rows = [
-        point_rows(basis, coords, pt.multiplicity, vecs, p)
+        point_rows(basis, coords, pt.multiplicity, vecs, prime)
         for pt, coords, vecs in zip(spec.points, sm.points, sm.directions)
     ]
     if not rows:
-        return FieldMatrix(np.zeros((0, len(basis)), dtype=np.int64), p)
-    return FieldMatrix(np.vstack(rows), p)
+        return FieldMatrix(np.zeros((0, len(basis)), dtype=np.int64), prime)
+    return FieldMatrix(np.vstack(rows), prime)
 
 
 @dataclass(frozen=True)

@@ -361,13 +361,10 @@ def run_ah_suite(
     return _run_cases("ah", cases, conf["primes"], conf["seeds"])
 
 
-def run_prop23_suite(cases=None, manifest: dict | None = None) -> SuiteResult:
+def run_prop23_suite(manifest: dict | None = None) -> SuiteResult:
     """Nonspeciality of one triple point plus the tabulated number of doubles."""
     conf = (manifest or load_manifest())["suites"]["prop23"]
-    return _run_cases(
-        "prop23", cases if cases is not None else conf["cases"],
-        conf["primes"], conf["seeds"],
-    )
+    return _run_cases("prop23", conf["cases"], conf["primes"], conf["seeds"])
 
 
 def run_section45_suite(manifest: dict | None = None) -> SuiteResult:

@@ -125,6 +125,22 @@ def test_prime_bound_usage_error(capsys):
     assert "prime 4294967311 must be below 2147483648" in err
 
 
+@pytest.mark.parametrize("prime", ["9", "2"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "L(2,4;2^5)"],
+        ["cremona", "L(2,5;2^6)"],
+        ["collide", "--op", "chords", "--n", "3"],
+        ["castelnuovo", "L(3,4;2^3@H2)"],
+    ],
+)
+def test_prime_that_is_no_odd_prime_is_usage_error(capsys, argv, prime):
+    code, out, err = run(capsys, [*argv, "--prime", prime])
+    assert code == 2 and out == ""
+    assert f"argument --prime: modulus must be an odd prime, got {prime}" in err
+
+
 def test_collide_merge_prime_bound_usage_error(capsys):
     # collide has no spec to check; the bound is raised where the points are sampled
     code, out, err = run(capsys, ["collide", "--op", "merge", "--n", "2", "--d", "4", "--prime", "3"])

@@ -74,19 +74,28 @@ def test_syntax_errors_carry_offsets():
 
 
 def test_semantic_errors_carry_item_index():
+    for text, item in [
+        ("L(2,3;2@H5)", 0),
+        ("L(2,3;2,2@pt5)", 1),
+        ("L(2,3;1[2@H1])", 0),  # tangent to H_1 from a generic point
+        # the fault is named where it is, not at the last item
+        ("L(2,3;1[2@H1],2,2)", 0),
+        ("L(2,3;2@pt5,2)", 0),
+        ("L(2,3;2,1[2@H1],2)", 1),
+        ("L(2,3;0^2)", 0),
+        ("L(2,3;2,2^0)", 1),
+    ]:
+        with pytest.raises(SpecSemanticError) as ei:
+            parse_spec(text)
+        assert ei.value.item == item, text
+        assert str(ei.value).startswith(f"item {item}: "), text
+
+
+def test_header_fault_names_no_item():
     with pytest.raises(SpecSemanticError) as ei:
-        parse_spec("L(2,3;2@H5)")
-    assert ei.value.item == 0
-    with pytest.raises(SpecSemanticError) as ei:
-        parse_spec("L(2,3;2,2@pt5)")
-    assert ei.value.item == 1
-    with pytest.raises(SpecSemanticError) as ei:
-        parse_spec("L(2,3;1[2@H1])")  # tangent to H_1 from a generic point
-    assert ei.value.item == 0
-    with pytest.raises(SpecSemanticError):
-        parse_spec("L(2,3;0^2)")
-    with pytest.raises(SpecSemanticError):
-        parse_spec("L(2,3;2^0)")
+        parse_spec("L(0,3;)")
+    assert ei.value.item is None
+    assert "item" not in str(ei.value)
 
 
 def test_print_examples():

@@ -84,12 +84,17 @@ def test_prop23_suite_passes_and_replays():
 
 def test_prop23_case_subset_and_failure_reporting():
     man = load_manifest()
-    case = dict(man["suites"]["prop23"]["cases"][0])
-    res = run_prop23_suite(cases=[case])
+    conf = man["suites"]["prop23"]
+    case = dict(conf["cases"][0])
+
+    def with_cases(*cases):
+        return {**man, "suites": {**man["suites"], "prop23": {**conf, "cases": list(cases)}}}
+
+    res = run_prop23_suite(manifest=with_cases(case))
     assert res.passed and len(res.cases) == 1
     broken = dict(case)
     broken["expected"] = dict(case["expected"], computed=99)
-    res = run_prop23_suite(cases=[broken])
+    res = run_prop23_suite(manifest=with_cases(broken))
     assert not res.passed
     assert res.failures == (case["id"],)
 
