@@ -7,13 +7,23 @@ Rows are residues mod p and assume p > d so the scaled derivative conditions
 stay faithful (derivative rows are not divided by alpha!; tangent rows divide
 by alpha! only for |alpha| = m < p). Residues are multiplied pairwise in int64,
 which is exact because every modulus is below ffield.MAX_MODULUS.
+
+Derivative rows use d^alpha x^beta = (beta)_alpha x^(beta - alpha), where
+(beta)_alpha = prod_i beta_i! / (beta_i - alpha_i)! is 0 unless alpha <= beta.
+An order-k row at a point is then scale[alpha, beta] times the degree-(d-k)
+monomial beta - alpha evaluated there. `_derivative_table` caches the
+point-independent half per (n, d, k, p): gather[alpha, beta], the index of
+beta - alpha in monomial_basis(n, d-k), and scale = (beta)_alpha mod p, two
+int64 arrays of binom(n+k, n) x binom(n+d, n) entries. The rows of a batch of
+points are one evaluate_basis call, one gather and one `* scale % p`; both
+factors are residues below p < 2^31, so the int64 product is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, perm, prod
 
 import numpy as np
 
@@ -64,59 +74,81 @@ class MonomialBasis:
         return arr
 
 
-def point_rows(basis: MonomialBasis, pt, m: int, directions, p: int) -> np.ndarray:
-    """All condition rows of an m-fold point pt with tangent directions, as one block.
+def point_rows(basis: MonomialBasis, pts, m: int, directions, p: int) -> list[np.ndarray]:
+    """The condition rows of H m-fold points with tangent directions, one block per point.
 
-    First one row per alpha in monomial_basis(n, m-1), in that order: (d/dx)^alpha
-    of each basis monomial at pt (multiplicity >= m, by the Euler relation as p > d).
-    Then one row per direction v: the coefficient of t^m in each monomial at pt + t*v,
-    i.e. the sum over |alpha| = m of v^alpha / alpha! times the order-m derivative
-    rows; with the point rows it puts v in the tangent cone. v must not be
-    proportional to pt.
+    pts has shape (H, n+1) and directions holds one sequence of vectors per point.
+    A point's block has first one row per alpha in monomial_basis(n, m-1), in that
+    order: (d/dx)^alpha of each basis monomial at the point (multiplicity >= m, by
+    the Euler relation as p > d). Then one row per direction v: the coefficient of
+    t^m in each monomial at pt + t*v, i.e. the sum over |alpha| = m of
+    v^alpha / alpha! times the order-m derivative rows; with the point rows it puts
+    v in the tangent cone. v must not be proportional to its point.
     """
     n, d = basis.n, basis.d
     if not 1 <= m < p < MAX_MODULUS:
         raise ValueError(f"need 1 <= m < p < {MAX_MODULUS}, got m={m}, p={p}")
-    pt = np.asarray(pt, dtype=np.int64) % p
-    if pt.shape != (n + 1,):
-        raise ValueError(f"point must have n+1={n + 1} coordinates")
-    vs = [np.asarray(v, dtype=np.int64) % p for v in directions]
-    if any(_proportional(pt, v, p) for v in vs):
+    pts = np.asarray(pts, dtype=np.int64) % p
+    if pts.ndim != 2 or pts.shape[1] != n + 1:
+        raise ValueError(f"points must have n+1={n + 1} coordinates")
+    if len(directions) != len(pts):
+        raise ValueError(f"need one direction sequence per point, got {len(directions)}")
+    owner = [i for i, dirs in enumerate(directions) for _ in dirs]
+    vs = np.array([v for dirs in directions for v in dirs], dtype=np.int64)
+    vs = vs.reshape(-1, n + 1) % p
+    if any(_proportional(pts[i], v, p) for i, v in zip(owner, vs)):
         raise ValueError("direction vector is proportional to the base point")
-    pw = _power_table(pt, d, p)
-    ff = _falling_table(max(d, m) + 1, p)
-    betas = basis.exponent_array
-
-    def derivatives(order: int) -> np.ndarray:
-        alphas = monomial_basis(n, order).exponent_array
-        block = np.ones((len(alphas), len(betas)), dtype=np.int64)
-        for i in range(n + 1):
-            a, b = alphas[:, i, None], betas[None, :, i]
-            block = block * ff[b, a] % p * pw[i, np.maximum(b - a, 0)] % p
-        return block
-
-    rows = derivatives(m - 1)
-    if not vs:
-        return rows
+    rows = _derivative_rows(pts, d, m - 1, p)
+    if not owner:
+        return list(rows)
     orders = monomial_basis(n, m)
     # w[v, alpha] = v^alpha / alpha! mod p; alpha! is invertible since m < p
-    vpw = _power_table(np.concatenate(vs), m, p).reshape(len(vs), n + 1, m + 1)
+    vpw = _power_table(vs.ravel(), m, p).reshape(len(vs), n + 1, m + 1)
     w = np.array([pow(prod(map(factorial, a)), -1, p) for a in orders.exponents], dtype=np.int64)
     for i in range(n + 1):
         w = w * vpw[:, i, orders.exponent_array[:, i]] % p
-    tangent = (w[:, :, None] * derivatives(m)[None] % p).sum(axis=1) % p
-    return np.vstack([rows, tangent])
+    tangent = (w[:, :, None] * _derivative_rows(pts[owner], d, m, p) % p).sum(axis=1) % p
+    split = np.cumsum([len(dirs) for dirs in directions])[:-1]
+    return [np.vstack(block) for block in zip(rows, np.split(tangent, split))]
+
+
+def _derivative_rows(pts: np.ndarray, d: int, k: int, p: int) -> np.ndarray:
+    """The order-k derivative rows of the degree-d monomials at each of H points.
+
+    The result has shape (H, |monomial_basis(n, k)|, |monomial_basis(n, d)|).
+    """
+    gammas, gather, scale = _derivative_table(pts.shape[1] - 1, d, k, p)
+    return evaluate_basis(gammas, pts, p)[:, gather] * scale % p
 
 
 @lru_cache(maxsize=None)
-def _falling_table(size: int, p: int) -> np.ndarray:
-    """ff[b, a] = b (b-1) ... (b-a+1) mod p, which is 0 for a > b."""
-    ff = np.zeros((size, size), dtype=np.int64)
-    ff[:, 0] = 1
-    for b in range(1, size):
-        ff[b, 1:] = ff[b - 1, :-1] * b % p
-    ff.setflags(write=False)
-    return ff
+def _derivative_table(n: int, d: int, k: int, p: int):
+    """The point-independent half of the order-k derivative rows of degree-d monomials.
+
+    With alphas = monomial_basis(n, k), betas = monomial_basis(n, d) and gammas =
+    monomial_basis(n, max(d - k, 0)), returns (gammas, gather, scale): gather[a, b]
+    is the index in gammas of beta_b - alpha_a and scale[a, b] the falling factorial
+    (beta_b)_(alpha_a) mod p. Where alpha_a is not <= beta_b both are 0.
+    """
+    gammas = monomial_basis(n, max(d - k, 0))
+    alphas = monomial_basis(n, k).exponent_array
+    betas = monomial_basis(n, d).exponent_array
+    # perm(b, a) = b! / (b - a)!, and 0 for a > b
+    falling = np.array(
+        [[perm(b, a) % p for a in range(k + 1)] for b in range(d + 1)], dtype=np.int64
+    )
+    scale = np.ones((len(alphas), len(betas)), dtype=np.int64)
+    for i in range(n + 1):
+        scale = scale * falling[betas[None, :, i], alphas[:, i, None]] % p
+    diff = betas[None, :, :] - alphas[:, None, :]
+    diff = np.where((diff >= 0).all(axis=2)[..., None], diff, gammas.exponent_array[0])
+    # exponents read as digits in base deg(gammas) + 1, x_0 first: the keys fall
+    # strictly along the graded-lex basis, so their negatives are sorted
+    radix = (gammas.d + 1) ** np.arange(n, -1, -1)
+    gather = np.searchsorted(-(gammas.exponent_array @ radix), -(diff @ radix))
+    gather.setflags(write=False)
+    scale.setflags(write=False)
+    return gammas, gather, scale
 
 
 def evaluate_basis(basis: MonomialBasis, pts: np.ndarray, p: int) -> np.ndarray:

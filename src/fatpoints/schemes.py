@@ -254,7 +254,9 @@ def condition_matrix(spec: SchemeSpec, prime: int, seed: int) -> FieldMatrix:
     A multiplicity-m point contributes the binom(m-1+n, n) derivative rows of
     order exactly m-1 (lower orders follow from the Euler relation, p > d);
     each direction contributes one leading-form row at its point's
-    multiplicity. The kernel is the sampled linear system.
+    multiplicity, after its point's derivative rows. The rows of all points of
+    one multiplicity come from one point_rows call; the blocks are stacked in
+    the spec's point order. The kernel is the sampled linear system.
     """
     if spec.oversized_multiplicities:
         raise ValueError(
@@ -263,13 +265,15 @@ def condition_matrix(spec: SchemeSpec, prime: int, seed: int) -> FieldMatrix:
         )
     sm = sample(spec, prime, seed)
     basis = monomial_basis(spec.n, spec.d)
-    rows = [
-        point_rows(basis, coords, pt.multiplicity, vecs, prime)
-        for pt, coords, vecs in zip(spec.points, sm.points, sm.directions)
-    ]
-    if not rows:
+    if not spec.points:
         return FieldMatrix(np.zeros((0, len(basis)), dtype=np.int64), prime)
-    return FieldMatrix(np.vstack(rows), prime)
+    blocks = [None] * len(spec.points)
+    for m in {pt.multiplicity for pt in spec.points}:
+        idx = [i for i, pt in enumerate(spec.points) if pt.multiplicity == m]
+        pts, dirs = [sm.points[i] for i in idx], [sm.directions[i] for i in idx]
+        for i, block in zip(idx, point_rows(basis, pts, m, dirs, prime)):
+            blocks[i] = block
+    return FieldMatrix(np.vstack(blocks), prime)
 
 
 @dataclass(frozen=True)

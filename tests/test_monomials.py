@@ -11,6 +11,11 @@ from fatpoints.monomials import evaluate_basis, monomial_basis, point_rows
 P = 32003
 
 
+def one_point(b, pt, m, directions, p):
+    """The condition rows of one m-fold point: point_rows on a batch of one."""
+    return point_rows(b, [pt], m, [directions], p)[0]
+
+
 def form_value(coeffs, b, pt) -> int:
     """The form with coefficient vector coeffs over basis b, at the point pt."""
     vals = evaluate_basis(b, np.reshape(pt, (1, -1)), P)[0]
@@ -47,15 +52,15 @@ def test_basis_rejects_bad_args():
 def test_order_zero_row_is_evaluation():
     b = monomial_basis(3, 4)
     pt = np.array([3, 1, 4, 1], dtype=np.int64)
-    rows = point_rows(b, pt, 1, (), P)
+    rows = one_point(b, pt, 1, (), P)
     assert np.array_equal(rows, evaluate_basis(b, pt.reshape(1, -1), P))
 
 
 def test_top_order_rows_are_constant():
     # m = d+1: the order-d derivative rows are alpha! times the unit vectors
     b = monomial_basis(2, 3)
-    r1 = point_rows(b, (1, 2, 3), 4, (), P)
-    r2 = point_rows(b, (9, 8, 7), 4, (), P)
+    r1 = one_point(b, (1, 2, 3), 4, (), P)
+    r2 = one_point(b, (9, 8, 7), 4, (), P)
     assert np.array_equal(r1, r2)
     expect = np.zeros((len(b), len(b)), dtype=np.int64)
     for i, alpha in enumerate(b.exponents):
@@ -67,7 +72,7 @@ def test_first_derivative_hand_example():
     # d/dx0 on the degree-2 plane monomials at pt = (a, b, c)
     b = monomial_basis(2, 2)
     a, bb, c = 5, 11, 2
-    rows = point_rows(b, (a, bb, c), 2, (), 101)
+    rows = one_point(b, (a, bb, c), 2, (), 101)
     assert monomial_basis(2, 1).exponents[0] == (1, 0, 0)
     lut = {e: v for e, v in zip(b.exponents, rows[0])}
     assert lut[(2, 0, 0)] == 2 * a % 101
@@ -81,13 +86,13 @@ def test_first_derivative_hand_example():
 def test_derivative_row_rejects_bad_orders():
     b = monomial_basis(2, 3)
     with pytest.raises(ValueError):
-        point_rows(b, (1, 2), 2, (), P)  # point with n coordinates
+        one_point(b, (1, 2), 2, (), P)  # point with n coordinates
     with pytest.raises(ValueError):
-        point_rows(b, (1, 2, 3), 0, (), P)  # derivative order m-1 = -1
+        one_point(b, (1, 2, 3), 0, (), P)  # derivative order m-1 = -1
     with pytest.raises(ValueError):
-        point_rows(b, (1, 2, 3), 7, (), 7)  # multiplicity not below p
+        one_point(b, (1, 2, 3), 7, (), 7)  # multiplicity not below p
     with pytest.raises(ValueError):
-        point_rows(b, (1, 2, 3), 2, (), 4294967311)  # int64 products overflow
+        one_point(b, (1, 2, 3), 2, (), 4294967311)  # int64 products overflow
 
 
 def test_order_one_leading_form_is_the_differential():
@@ -95,8 +100,8 @@ def test_order_one_leading_form_is_the_differential():
     rng = np.random.default_rng(7)
     pt = rng.integers(1, P, 4)
     v = rng.integers(1, P, 4)
-    lead = point_rows(b, pt, 1, (v,), P)[-1]
-    firsts = point_rows(b, pt, 2, (), P)  # d/dx_0, ..., d/dx_3 in basis order
+    lead = one_point(b, pt, 1, (v,), P)[-1]
+    firsts = one_point(b, pt, 2, (), P)  # d/dx_0, ..., d/dx_3 in basis order
     diff = np.zeros(len(b), dtype=np.int64)
     for i in range(4):
         diff = (diff + int(v[i]) * firsts[i]) % P
@@ -111,8 +116,8 @@ def test_leading_form_matches_scaled_derivatives():
     rng = np.random.default_rng(19)
     pt = rng.integers(1, P, n + 1)
     v = rng.integers(1, P, n + 1)
-    lead = point_rows(b, pt, m, (v,), P)[-1]
-    derivs = point_rows(b, pt, m + 1, (), P)
+    lead = one_point(b, pt, m, (v,), P)[-1]
+    derivs = one_point(b, pt, m + 1, (), P)
     acc = np.zeros(len(b), dtype=np.int64)
     for alpha, row in zip(monomial_basis(n, m).exponents, derivs):
         fact = 1
@@ -135,7 +140,7 @@ def test_taylor_expansion_identity():
     coeffs = rng.integers(0, P, len(b))
     taylor = [form_value(coeffs, b, pt)]
     taylor += [
-        int(point_rows(b, pt, m, (v,), P)[-1] @ coeffs % P) for m in range(1, d + 1)
+        int(one_point(b, pt, m, (v,), P)[-1] @ coeffs % P) for m in range(1, d + 1)
     ]
     for t in (1, 2, 17, 4321):
         direct = form_value(coeffs, b, (pt + t * v) % P)
@@ -148,7 +153,7 @@ def test_taylor_expansion_identity():
 def test_top_leading_form_at_vertex_evaluates_the_direction():
     b = monomial_basis(2, 3)
     v = np.array([4, 9, 25], dtype=np.int64)
-    row = point_rows(b, (1, 0, 0), 3, (v,), P)[-1]
+    row = one_point(b, (1, 0, 0), 3, (v,), P)[-1]
     assert np.array_equal(row, evaluate_basis(b, v.reshape(1, -1), P)[0])
 
 
@@ -158,7 +163,7 @@ def test_direction_row_extends_double_point_rank_by_one():
         rng = np.random.default_rng(5)
         pt = rng.integers(1, p, 4)
         v = rng.integers(1, p, 4)
-        rows = point_rows(b, pt, 2, (v,), p)
+        rows = one_point(b, pt, 2, (v,), p)
         assert rows.shape == (5, len(b))
         assert rank(FieldMatrix(rows[:4], p)) == 4
         assert rank(FieldMatrix(rows, p)) == 5
@@ -167,13 +172,22 @@ def test_direction_row_extends_double_point_rank_by_one():
 def test_direction_row_rejections():
     b = monomial_basis(2, 3)
     with pytest.raises(ValueError):
-        point_rows(b, (1, 2, 3), 2, [(2, 4, 6)], P)
+        one_point(b, (1, 2, 3), 2, [(2, 4, 6)], P)
     with pytest.raises(ValueError):
-        point_rows(b, (1, 2, 3), 2, [(1, 1, 1), (0, 0, 0)], P)
+        one_point(b, (1, 2, 3), 2, [(1, 1, 1), (0, 0, 0)], P)
     with pytest.raises(ValueError):
-        point_rows(b, (1, 2, 3), 7, [(1, 1, 1)], 7)
+        one_point(b, (1, 2, 3), 7, [(1, 1, 1)], 7)
     with pytest.raises(ValueError):
-        point_rows(b, (1, 2, 3), 0, [(1, 1, 1)], P)
+        one_point(b, (1, 2, 3), 0, [(1, 1, 1)], P)
+
+
+def test_point_rows_take_one_direction_sequence_per_point():
+    b = monomial_basis(2, 3)
+    with pytest.raises(ValueError):
+        point_rows(b, [(1, 2, 3), (3, 2, 1)], 2, [[(1, 1, 1)]], P)
+    with pytest.raises(ValueError):  # the proportional direction belongs to the second point
+        point_rows(b, [(1, 2, 3), (3, 2, 1)], 2, [[(1, 1, 1)], [(6, 4, 2)]], P)
+    assert point_rows(b, np.zeros((0, 3), dtype=np.int64), 2, [], P) == []
 
 
 def test_evaluate_basis_against_direct_powers():

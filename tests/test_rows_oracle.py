@@ -95,11 +95,30 @@ def test_point_rows_match_scalar_oracle(data):
     basis = monomial_basis(n, d)
     if any(proportional(pt, v, p) for v in dirs):
         with pytest.raises(ValueError):
-            point_rows(basis, pt, m, dirs, p)
+            point_rows(basis, [pt], m, [dirs], p)
         return
-    got = point_rows(basis, pt, m, dirs, p)
+    (got,) = point_rows(basis, [pt], m, [dirs], p)
     assert got.dtype == np.int64
     assert np.array_equal(got, oracle_rows(n, d, pt, m, dirs, p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_point_rows_of_a_batch_match_the_oracle_point_by_point(data):
+    n = data.draw(st.integers(1, 4), label="n")
+    d = data.draw(st.integers(0, 6), label="d")
+    m = data.draw(st.integers(1, d + 1), label="m")
+    p = data.draw(st.sampled_from(PRIMES), label="p")
+    vec = st.lists(st.integers(0, p - 1), min_size=n + 1, max_size=n + 1)
+    pts = data.draw(st.lists(vec.filter(any), min_size=2, max_size=5), label="pts")
+    dirs = [
+        data.draw(st.lists(vec.filter(lambda v, x=x: not proportional(x, v, p)), max_size=2))
+        for x in pts
+    ]
+    got = point_rows(monomial_basis(n, d), pts, m, dirs, p)
+    assert len(got) == len(pts)
+    for block, pt, vs in zip(got, pts, dirs):
+        assert np.array_equal(block, oracle_rows(n, d, pt, m, vs, p))
 
 
 def _explicit_limit() -> SchemeSpec:
@@ -120,6 +139,9 @@ ROW_KINDS = {
     "subspace": flagged_system(5, 4),
     "explicit": _explicit_limit(),
     "cluster": parse_spec("L(3,4;2,2@pt0,2[1@pt0],2[2@pt1])"),
+    # multiplicities 1, 2, 3 and d+1 interleaved, tangent directions in the middle:
+    # rows grouped by multiplicity instead of by point order fail here
+    "interleaved": parse_spec("L(3,4;2,1,3[2],5[1],1,2,3)"),
 }
 
 

@@ -1,9 +1,13 @@
+import hashlib
+import json
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fatpoints.ffield import rank
+from fatpoints.formulas import k
 from fatpoints.grammar import parse_spec
 from fatpoints.schemes import (
     CLUSTER_SCALE,
@@ -19,6 +23,7 @@ from fatpoints.schemes import (
     sample,
     virtual_dim,
 )
+from fatpoints.suites import flagged_system, load_manifest
 
 P = 32003
 
@@ -267,3 +272,54 @@ def test_castelnuovo_dimension_accounting():
         assert h_all <= h_k + h_t, (spec, h_all, h_k, h_t)
         checked += 1
     assert checked == 20
+
+
+def pinned_systems():
+    """(suite, case id, spec, primes, seeds) of every condition matrix pinned on disk.
+
+    The ah grid as `run_ah_suite` builds it (plus the sporadic triples off the
+    grid) and the `dim` and `flag-dim` specs of prop23 and section45, each at its
+    suite's primes and seeds.
+    """
+    suites = load_manifest()["suites"]
+    ah = suites["ah"]
+    grid = ah["grid"]
+    triples = {
+        (n, d, h)
+        for n in range(1, grid["n_max"] + 1)
+        for d in range(grid["d_min"], grid["d_max"] + 1)
+        for h in range(1, int(k(n, d)) + 1)
+    }
+    triples |= {tuple(t) for t in ah["sporadics"]}
+    for n, d, h in sorted(triples):
+        yield "ah", f"n{n}-d{d}-h{h}", double_points(n, d, h), ah["primes"], ah["seeds"]
+    for name in ("prop23", "section45"):
+        conf = suites[name]
+        for case in conf["cases"]:
+            if case["op"] == "dim":
+                spec = parse_spec(case["spec"])
+            elif case["op"] == "flag-dim":
+                spec = flagged_system(case["n"], case["d"])
+            else:
+                continue
+            yield name, case["id"], spec, conf["primes"], conf["seeds"]
+
+
+def condition_matrix_hashes() -> dict:
+    out: dict = {}
+    for suite, case_id, spec, primes, seeds in pinned_systems():
+        out.setdefault(suite, {})[case_id] = {
+            f"{p}:{s}": hashlib.sha256(condition_matrix(spec, p, s).a.tobytes()).hexdigest()
+            for p in primes
+            for s in seeds
+        }
+    return out
+
+
+def test_condition_matrices_match_the_recorded_ones():
+    # recorded once from condition_matrix_hashes(): any change to a row, its order
+    # or the sampled points shows here
+    golden = json.loads(
+        (Path(__file__).parent / "data" / "condition_matrices.json").read_text()
+    )
+    assert condition_matrix_hashes() == golden
