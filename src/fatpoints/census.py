@@ -168,7 +168,8 @@ def fiber_census(m: RationalMap, budget: float = DEFAULT_BUDGET) -> FiberCensus:
         smaller = _suggest_prime(n, m.d, budget)
         raise ValueError(
             f"census cost {cost:.2e} exceeds budget {budget:.0e}; "
-            f"largest affordable prime is ~{smaller}"
+            + (f"largest affordable prime is {smaller}" if smaller
+               else f"no prime above d = {m.d} fits it")
         )
     if (m.d + 1) * (p - 1) ** 2 > _EXACT:
         raise ValueError(f"float64 sums of {m.d + 1} residue products overflow 2^52 at p={p}")
@@ -202,12 +203,11 @@ def fiber_census(m: RationalMap, budget: float = DEFAULT_BUDGET) -> FiberCensus:
     return FiberCensus(**{**census.__dict__, "verdict": classify(census)})
 
 
-def _suggest_prime(n: int, d: int, budget: float) -> int:
-    p = 3
-    best = 3
+def _suggest_prime(n: int, d: int, budget: float) -> int | None:
+    """The largest prime above d whose census fits the budget, if any."""
+    best, p = None, next_odd_prime(d)
     while _census_cost(n, d, p) <= budget:
-        best = p
-        p = next_odd_prime(p)
+        best, p = p, next_odd_prime(p)
     return best
 
 

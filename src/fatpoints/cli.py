@@ -29,6 +29,7 @@ from .formulas import hs_sequences, verify_sequence_properties
 from .grammar import SpecSemanticError, SpecSyntaxError, parse_spec
 from .schemes import PrimeBoundError, castelnuovo_split, dimension
 from .suites import (
+    check_expected,
     csv_summary,
     json_report,
     load_manifest,
@@ -53,6 +54,26 @@ def _prime(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _number(convert, valid, rule):
+    """An argparse type: convert the text, and refuse it unless valid."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+
+    return parse
+
+
+_seed = _number(int, lambda s: s >= 0, "seed must be a non-negative integer")
+# NaN fails the comparison too, so it cannot switch the budget off
+_budget = _number(float, lambda b: b > 0, "budget must be a positive number")
+
+
 class _Repeat(argparse.Action):
     """Repeatable option: the first use replaces the default, later uses extend."""
 
@@ -73,13 +94,13 @@ _OPTIONS = {
     "prime": ("--prime", dict(
         type=_prime, default=DEFAULT_PRIMES[0], help="working prime (default 32003)")),
     "seeds": ("--seed", dict(
-        type=int, action=_Repeat, default=(0, 1, 2), metavar="SEED",
+        type=_seed, action=_Repeat, default=(0, 1, 2), metavar="SEED",
         help="sampling seed; repeatable (default 0 1 2)")),
-    "seed": ("--seed", dict(type=int, default=0, help="sampling seed (default 0)")),
+    "seed": ("--seed", dict(type=_seed, default=0, help="sampling seed (default 0)")),
     "budget": ("--budget", dict(
-        type=float, default=DEFAULT_BUDGET, help="op budget for censuses")),
+        type=_budget, default=DEFAULT_BUDGET, help="op budget for censuses")),
     "suite_budget": ("--budget", dict(
-        type=float, default=None, help="op budget for censuses (default: the manifest's)")),
+        type=_budget, default=None, help="op budget for censuses (default: the manifest's)")),
     "csv": ("--csv", dict(action="store_true", help="emit a CSV summary")),
     "json": ("--json", dict(action="store_true", help="emit the JSON report")),
 }
@@ -139,12 +160,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_dim(args):
-    specs = [parse_spec(s) for s in args.spec]
     cases = []
     lines = []
-    for text, spec in zip(args.spec, specs):
-        rep = dimension(spec, args.primes, args.seeds)
-        cases.append({"spec": text, "result": rep.as_dict(), "passed": not rep.unstable})
+    for text in args.spec:
+        rep = dimension(parse_spec(text), args.primes, args.seeds)
+        result = rep.as_dict()
+        cases.append({"spec": text, "result": result,
+                      "passed": check_expected({"unstable": False}, result)})
         tag = " special" if rep.special else ""
         tag += " UNSTABLE" if rep.unstable else ""
         lines.append(
@@ -155,24 +177,30 @@ def _cmd_dim(args):
         "spec": args.spec[0],
         "result": cases[0]["result"],
         "cases": cases,
-        "passed": all(c["passed"] for c in cases),
+        "observed": {"passed": [c["passed"] for c in cases]},
+        "expected": {"passed": {"eq": True}},
         "lines": lines,
         "primes": args.primes,
         "seeds": args.seeds,
     }
 
 
+def _summary(res, label, tail=""):
+    """A suite's pass count, then one line per failed case."""
+    ok = len(res.cases) - len(res.failures)
+    return [f"{label}: {ok}/{len(res.cases)} passed{tail}",
+            *(f"  FAIL {cid}" for cid in res.failures)]
+
+
 def _cmd_ah(args):
-    manifest = load_manifest(args.manifest) if args.manifest else None
-    res = run_ah_suite(args.n_max, args.d_max, manifest=manifest)
-    lines = [f"ah grid: {len(res.cases) - len(res.failures)}/{len(res.cases)} passed"]
-    lines += [f"  FAIL {cid}" for cid in res.failures]
+    res = run_ah_suite(args.n_max, args.d_max, manifest=load_manifest(args.manifest))
+    if not res.cases:
+        raise UsageError("the ah grid has no case up to this --n-max and --d-max")
     return {
-        "spec": None,
         "result": {"passed": res.passed, "failures": list(res.failures)},
         "cases": [c.as_dict() for c in res.cases],
-        "passed": res.passed,
-        "lines": lines,
+        "expected": {"passed": True},
+        "lines": _summary(res, "ah grid"),
         "csv": csv_summary(res),
         "primes": res.primes,
         "seeds": res.seeds,
@@ -188,13 +216,9 @@ def _cmd_seq(args):
         lines.append(f"{i:3d} {t.h[i]:4d} {t.s[i]:4d} {a if a is not None else '':>5}")
     lines.append("properties: " + ", ".join(f"{k2}={v}" for k2, v in props.items()))
     return {
-        "spec": None,
         "result": {"table": t.as_dict(), "properties": props},
-        "cases": [],
-        "passed": all(props.values()),
+        "expected": {"properties": dict.fromkeys(props, True)},
         "lines": lines,
-        "primes": [],
-        "seeds": [],
     }
 
 
@@ -206,53 +230,54 @@ def _cmd_cremona(args):
     cases = []
     lines = []
     for p in primes:
-        m = map_from_system(spec, p, args.seed)
-        c = fiber_census(m, args.budget)
-        cases.append({"prime": p, "result": c.as_dict(), "passed": c.verdict != "inconclusive"})
+        c = fiber_census(map_from_system(spec, p, args.seed), args.budget)
+        result = c.as_dict()
+        cases.append({"prime": p, "result": result,
+                      "passed": check_expected({"verdict": {"ne": "inconclusive"}}, result)})
         lines.append(
             f"{args.spec} @ p={p}: verdict={c.verdict} "
             f"fraction_unique={c.fraction_unique:.6f} image={c.image_size} "
             f"base={c.base_points}"
         )
-    verdicts = {c["result"]["verdict"] for c in cases}
-    passed = all(c["passed"] for c in cases) and len(verdicts) == 1
-    if len(verdicts) > 1:
-        lines.append("PRIME DISAGREEMENT: " + ", ".join(sorted(verdicts)))
+    verdicts = [c["result"]["verdict"] for c in cases]
+    if len(set(verdicts)) > 1:
+        lines.append("PRIME DISAGREEMENT: " + ", ".join(sorted(set(verdicts))))
     return {
         "spec": args.spec,
         "result": cases[0]["result"],
         "cases": cases,
-        "passed": passed,
+        # every prime passes, and all give one verdict
+        "observed": {"passed": [c["passed"] for c in cases], "verdict": verdicts},
+        "expected": {"passed": {"eq": True}, "verdict": {"eq": verdicts[0]}},
         "lines": lines,
         "primes": primes,
         "seeds": [args.seed],
     }
 
 
+# the census verdicts that corroborate each status; finite(k) is read as finite
+_CORROBORATING = {
+    "identifiable": {"verdict": {"in": ["birational"]}},
+    "not-identifiable": {"verdict": {"in": ["fiber-type", "finite"]}},
+    "non-perfect": {},
+}
+
+
 def _cmd_identif(args):
     v = identifiability_verdict(
         args.n, args.d, corroborate=not args.no_census, budget=args.budget
     )
-    if v.status == "identifiable":
-        corroborated = all(c.verdict == "birational" for c in v.censuses)
-    elif v.status == "not-identifiable":
-        # only positive evidence of a non-birational map counts
-        corroborated = all(
-            c.verdict == "fiber-type" or c.verdict.startswith("finite(")
-            for c in v.censuses
-        )
-    else:
-        corroborated = True
+    kinds = [c.verdict.partition("(")[0] for c in v.censuses]
+    corroborated = check_expected(_CORROBORATING[v.status], {"verdict": kinds})
     tail = f", s = {v.s}" if v.s is not None else ""
     lines = [f"({args.n},{args.d}): {v.status}{tail}"]
     for c in v.censuses:
         lines.append(f"  census p={c.prime}: {c.verdict} "
                      f"(fraction_unique={c.fraction_unique:.6f})")
     return {
-        "spec": None,
         "result": {**v.as_dict(), "corroborated": corroborated},
         "cases": [c.as_dict() for c in v.censuses],
-        "passed": corroborated,
+        "expected": {"corroborated": True},
         "lines": lines,
         # identifiability_verdict runs its censuses at seed 0
         "primes": [c.prime for c in v.censuses],
@@ -260,34 +285,39 @@ def _cmd_identif(args):
     }
 
 
+# the options each collide op reads besides --n, by dest
+_COLLIDE_READS = {"merge": ("d",), "chords": (), "limit": ("d", "h")}
+
+
 def _cmd_collide(args):
     p, seed = args.prime, args.seed
+    reads = _COLLIDE_READS[args.op]
+    given = [key for key in ("d", "h") if getattr(args, key) is not None]
+    if any(key not in given for key in reads):
+        raise UsageError(f"--op {args.op} needs " + " and ".join(f"--{key}" for key in reads))
+    unread = [key for key in given if key not in reads]
+    if unread:
+        raise UsageError(f"--op {args.op} does not read " + " or ".join(f"--{key}" for key in unread))
     if args.op == "merge":
-        if args.d is None:
-            raise UsageError("--op merge needs --d")
         rep = collision1_check(args.n, args.d, p, seed)
-        passed = rep.dims_equal and rep.degree_identity_ok
+        expected = {"dims_equal": True, "degree_identity_ok": True}
         line = (f"merge ({args.n},{args.d}): generic={rep.generic_dim} "
                 f"limit={rep.limit_dim} equal={rep.dims_equal}")
     elif args.op == "chords":
         rep = indip_check(args.n, p, seed)
-        passed = rep.independent and rep.all_triples_collinear
+        expected = {"independent": True, "all_triples_collinear": True}
         line = (f"chords n={args.n}: rank={rep.quadric_rank}/{rep.points} "
                 f"collinear_triples={rep.all_triples_collinear}")
     else:
-        if args.d is None or args.h is None:
-            raise UsageError("--op limit needs --d and --h")
         rep = limit_multiplicity_check(args.n, args.d, args.h, p, seed)
-        passed = rep.deeper_point_dim <= rep.doubles_dim and (
-            not rep.exact or rep.fat_point_dim == rep.doubles_dim
-        )
+        expected = {"deeper_point_dim": {"le": rep.doubles_dim}}
+        if rep.exact:
+            expected["fat_point_dim"] = rep.doubles_dim
         line = (f"limit ({args.n},{args.d},{args.h}): mu={rep.mu} "
                 f"lengths {rep.double_length} vs {rep.point_length} -> {rep.summary}")
     return {
-        "spec": None,
         "result": asdict(rep),
-        "cases": [],
-        "passed": passed,
+        "expected": expected,
         "lines": [line],
         "primes": [p],
         "seeds": [seed],
@@ -300,20 +330,19 @@ def _cmd_castelnuovo(args):
     h0 = {}
     for name, s in (("system", spec), ("kernel", kernel), ("trace", trace)):
         h0[name] = dimension(s, args.primes, args.seeds).computed + 1
-    passed = h0["system"] <= h0["kernel"] + h0["trace"]
+    subadditive = h0["system"] <= h0["kernel"] + h0["trace"]
     return {
         "spec": args.spec,
         "result": {
             "kernel": kernel.to_dict(),
             "trace": trace.to_dict(),
             "h0": h0,
-            "subadditive": passed,
+            "subadditive": subadditive,
         },
-        "cases": [],
-        "passed": passed,
+        "expected": {"subadditive": True},
         "lines": [
             f"h0: system={h0['system']} kernel={h0['kernel']} trace={h0['trace']} "
-            f"subadditive={passed}"
+            f"subadditive={subadditive}"
         ],
         "primes": args.primes,
         "seeds": args.seeds,
@@ -321,7 +350,7 @@ def _cmd_castelnuovo(args):
 
 
 def _cmd_suite(args):
-    manifest = load_manifest(args.manifest) if args.manifest else load_manifest()
+    manifest = load_manifest(args.manifest)
     names = args.names or list(suite_names())
     bad = [nm for nm in names if nm not in suite_names()]
     if bad:
@@ -331,18 +360,12 @@ def _cmd_suite(args):
         kwargs = {"budget": args.suite_budget} if nm == "theorem2" else {}
         results.append(run_suite(nm, manifest=manifest, **kwargs))
     report = json_report(results)
-    lines = []
-    for res in results:
-        ok = len(res.cases) - len(res.failures)
-        lines.append(f"{res.name}: {ok}/{len(res.cases)} passed ({res.elapsed:.1f}s)")
-        lines += [f"  FAIL {cid}" for cid in res.failures]
-    cases = [c for res in report["suites"] for c in res["cases"]]
     return {
-        "spec": None,
         "result": report,
-        "cases": cases,
-        "passed": report["passed"],
-        "lines": lines,
+        "cases": [c for res in report["suites"] for c in res["cases"]],
+        "expected": {"passed": True},
+        "lines": [line for res in results
+                  for line in _summary(res, res.name, f" ({res.elapsed:.1f}s)")],
         "csv": csv_summary(results),
         # dict keys keep run order and drop repeats
         "primes": list(dict.fromkeys(p for res in results for p in res.primes)),
@@ -379,37 +402,28 @@ def _main(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    payload = {"tool_version": __version__, "subcommand": args.cmd}
     t0 = time.perf_counter()
     try:
-        out = _COMMANDS[args.cmd](args)
+        out = {"spec": None, "cases": [], "primes": [], "seeds": [], **_COMMANDS[args.cmd](args)}
     except (SpecSyntaxError, SpecSemanticError, UsageError, PrimeBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        payload = {"tool_version": __version__, "subcommand": args.cmd,
-                   "error": str(exc)}
         if args.json:
-            print(json.dumps(payload, sort_keys=True, indent=2))
+            print(json.dumps({**payload, "error": str(exc)}, sort_keys=True, indent=2))
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1
-    payload = {
-        "tool_version": __version__,
-        "subcommand": args.cmd,
-        "spec": out.get("spec"),
-        "primes": list(out["primes"]),
-        "seeds": list(out["seeds"]),
-        "result": out["result"],
-        "cases": out["cases"],
-        "timings": {"total": round(time.perf_counter() - t0, 3)},
-    }
+    payload.update({key: out[key] for key in ("spec", "primes", "seeds", "result", "cases")})
+    payload["timings"] = {"total": round(time.perf_counter() - t0, 3)}
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2))
     elif "csv" in out and args.csv:
         print(out["csv"], end="")
     else:
         print("\n".join(out["lines"]))
-    return 0 if out["passed"] else 1
+    return 0 if check_expected(out["expected"], out.get("observed", out["result"])) else 1
 
 
 if __name__ == "__main__":

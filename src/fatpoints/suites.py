@@ -97,6 +97,7 @@ _CHECKS = {
     "gt": lambda v, b: v > b,
     "le": lambda v, b: v <= b,
     "lt": lambda v, b: v < b,
+    "in": lambda v, b: v in b,
 }
 
 
@@ -104,8 +105,9 @@ def check_expected(expected: dict, observed: dict) -> bool:
     """Match expected against observed.
 
     Plain values compare by equality. A value of the form {"ge": 0.95} applies
-    the named comparison; when the observed value is a list, every element
-    must satisfy it.
+    the named comparison (eq, ne, ge, gt, le, lt, or in: membership in the
+    given list); when the observed value is a list, every element must
+    satisfy it, so an empty list satisfies every comparison.
     """
     for key, want in expected.items():
         got = observed.get(key)

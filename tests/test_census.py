@@ -211,6 +211,10 @@ def test_budget_guard():
     with pytest.raises(ValueError) as ei:
         fiber_census(m, budget=100)
     assert "affordable prime" in str(ei.value)
+    # (p + 1) * 2 <= 100 holds up to p = 49, and 47 is the largest prime below
+    assert str(ei.value).endswith("largest affordable prime is 47")
+    with pytest.raises(ValueError, match="no prime above d = 1 fits it"):
+        fiber_census(m, budget=5)
 
 
 def test_next_odd_prime():

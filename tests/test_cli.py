@@ -88,12 +88,28 @@ def test_dim_flag_overrides(capsys):
         ["castelnuovo", "L(3,4;3@H2,2^3)", "--seeds", "0,1"],
         ["collide", "--op", "chords", "--n", "3", "--csv"],
         ["cremona", "L(2,2;2)", "--prime", "7", "--csv"],
+        ["collide", "--op", "chords", "--n", "3", "--d", "9", "--h", "2"],
+        ["collide", "--op", "merge", "--n", "2", "--d", "4", "--h", "99"],
+        ["collide", "--op", "limit", "--n", "2", "--h", "7"],
+        ["dim", "L(2,4;2^5)", "--seed", "-1"],
+        ["cremona", "L(2,2;2)", "--seed", "-1"],
+        ["collide", "--op", "chords", "--n", "3", "--seed", "-1"],
+        ["castelnuovo", "L(3,4;3@H2,2^3)", "--seed", "-1"],
+        ["cremona", "L(2,5;2^6)", "--prime", "31", "--budget", "nan"],
+        ["identif", "--n", "2", "--d", "5", "--budget", "nan"],
+        ["suite", "theorem2", "--budget", "nan"],
+        ["cremona", "L(2,2;2)", "--budget", "0"],
+        ["identif", "--n", "2", "--d", "5", "--budget", "-1"],
+        ["ah", "--n-max", "0"],
+        ["ah", "--d-max", "1"],
     ],
 )
 def test_unread_option_is_usage_error(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert "error:" in err
+    # the message names the option at fault, the last one given
+    assert [a for a in argv if a.startswith("--")][-1] in err
 
 
 def test_dim_syntax_error_exit_2(capsys):

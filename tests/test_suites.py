@@ -49,6 +49,12 @@ def test_check_expected_semantics():
     assert check_expected({"x": {"gt": 0, "lt": 10}}, {"x": 5})
     assert check_expected({"v": {"ne": "birational"}}, {"v": ["fiber-type", "fiber-type"]})
     assert not check_expected({"v": {"ne": "birational"}}, {"v": ["fiber-type", "birational"]})
+    # in: membership, of a scalar or of every element of a list
+    assert check_expected({"v": {"in": ["fiber-type", "finite"]}}, {"v": "finite"})
+    assert not check_expected({"v": {"in": ["birational"]}}, {"v": "inconclusive"})
+    assert check_expected({"v": {"in": ["fiber-type", "finite"]}}, {"v": ["finite", "fiber-type"]})
+    assert not check_expected({"v": {"in": ["birational"]}}, {"v": ["birational", "finite"]})
+    assert check_expected({"v": {"in": ["birational"]}}, {"v": []})
     # a plain dict value that is not an operator spec compares by equality
     assert check_expected({"x": {"kind": "generic"}}, {"x": {"kind": "generic"}})
 
