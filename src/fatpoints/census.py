@@ -9,12 +9,13 @@ the working notion of birationality; a small image signals fiber type.
 Evaluation contracts the forms against a power table in float64 BLAS, one
 variable at a time. A stage sums d+1 residue products, at most (d+1)(p-1)^2,
 which is exact while at most 2^52; larger p are refused. An image x is keyed
-by its position in the canonical enumeration (charts in order, x_n fastest):
-Horner in base p over y = x / x_lead, with digit 1 - y_j up to and including
-the lead and y_j after it, so a base point (every digit 1) lands on
-|P^n(F_p)|. The digits y_j = x_j inv(x_lead) mod p are taken on the float64
-residues by `ffield._reduce`, exact as x_j inv(x_lead) <= (p-1)^2 < 2^52;
-only the positions are int64 (p^(n+1) > 2^63 is refused). The counts are one
+by its position in the canonical enumeration (charts in order, x_n fastest).
+If x_0 != 0 it is the Horner sum in base p of y_j = x_j inv(x_0) mod p over
+j = 1..n; if x_0 = 0 it is p^n, the size of chart 0, plus the position of
+(x_1..x_n) in P^{n-1}, so a base point (every coordinate 0) lands on
+|P^n(F_p)| = p^n + ... + p + 1. The y_j are taken on the float64 residues by
+`ffield._reduce`, exact as x_j inv(x_0) <= (p-1)^2 < 2^52; only the positions
+are int64 (p^(n+1) > 2^63 is refused). The counts are one
 int64 array of |P^n(F_p)| + 1 entries, 8 (|P^n(F_p)| + 1) bytes, refused when
 it cannot be allocated; besides it a census holds one chart's evaluation
 tensors, over a trailing grid of at most 2^18 points, and at the end a
@@ -25,11 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
-from .ffield import _EXACT, FieldMatrix, _reduce, is_prime, kernel_basis, rank
+from .ffield import _EXACT, MAX_MODULUS, FieldMatrix, _reduce, is_prime, kernel_basis, rank
 from .formulas import is_perfect, k
 from .monomials import MonomialBasis, _power_table, monomial_basis
 from .schemes import SchemeSpec, condition_matrix, double_points
@@ -145,17 +146,18 @@ def _leading_values(tensor: np.ndarray, vand: np.ndarray, p: int):
 
 def _positions(vals: np.ndarray, p: int, inv_table: np.ndarray) -> np.ndarray:
     """Position in the canonical enumeration of P^n(F_p) of each column of the
-    float64 residues vals, by Horner over the coordinates (see the module
-    docstring); a zero column lands on |P^n(F_p)|."""
+    float64 residues vals (see the module docstring); a zero column lands on
+    |P^n(F_p)|."""
+    inv = inv_table[vals[0].astype(np.intp)]  # 0 where x_0 = 0
     idx = np.zeros(vals.shape[1], dtype=np.int64)
-    scale = np.zeros(vals.shape[1])  # inv(lead) once the lead is passed
-    for row in vals:
-        before = scale == 0
-        scale[before] = inv_table[row[before].astype(np.intp)]
-        y = _reduce(row * scale, p)
-        y -= before  # up to the lead y is 0 or 1, and |y - 1| = 1 - y
+    for row in vals[1:]:
         idx *= p
-        idx += np.abs(y, out=y).astype(np.int64)
+        idx += _reduce(row * inv, p).astype(np.int64)
+    rest = np.flatnonzero(inv == 0)
+    if rest.size:
+        # x_0 = 0: the positions of x_1..x_n in P^{n-1}, after the p^n of chart 0
+        tail = _positions(vals[1:, rest], p, inv_table) if len(vals) > 1 else 0
+        idx[rest] = p ** (len(vals) - 1) + tail
     return idx
 
 
@@ -163,18 +165,13 @@ def fiber_census(m: RationalMap, budget: float = DEFAULT_BUDGET) -> FiberCensus:
     """Image bucket counts for the whole rational point set of the source."""
     n, p = m.n, m.prime
     domain = projective_count(n, p)
-    cost = _census_cost(n, m.d, p)
-    if cost > budget:
-        smaller = _suggest_prime(n, m.d, budget)
-        raise ValueError(
-            f"census cost {cost:.2e} exceeds budget {budget:.0e}; "
-            + (f"largest affordable prime is {smaller}" if smaller
-               else f"no prime above d = {m.d} fits it")
-        )
-    if (m.d + 1) * (p - 1) ** 2 > _EXACT:
-        raise ValueError(f"float64 sums of {m.d + 1} residue products overflow 2^52 at p={p}")
-    if p ** (n + 1) > 2**63:
-        raise ValueError(f"int64 image keys overflow at p={p}, n={n}")
+    refusal = _refusal(n, m.d, p, budget)
+    if refusal is not None:
+        if _census_cost(n, m.d, p) > budget:
+            smaller = _suggest_prime(n, m.d, budget)
+            refusal += "; " + (f"largest affordable prime is {smaller}" if smaller
+                               else f"no prime above d = {m.d} fits it")
+        raise ValueError(refusal)
     inv_table = np.zeros(p)
     inv_table[1:] = [pow(x, -1, p) for x in range(1, p)]
     try:
@@ -203,12 +200,33 @@ def fiber_census(m: RationalMap, budget: float = DEFAULT_BUDGET) -> FiberCensus:
     return FiberCensus(**{**census.__dict__, "verdict": classify(census)})
 
 
+def _refusal(n: int, d: int, p: int, budget: float) -> str | None:
+    """Why fiber_census refuses a degree-d map of P^n over F_p, or None."""
+    cost = _census_cost(n, d, p)
+    if cost > budget:
+        return f"census cost {cost:.2e} exceeds budget {budget:.0e}"
+    if (d + 1) * (p - 1) ** 2 > _EXACT:
+        return f"float64 sums of {d + 1} residue products overflow 2^52 at p={p}"
+    if p ** (n + 1) > 2**63:
+        return f"int64 image keys overflow at p={p}, n={n}"
+    return None
+
+
 def _suggest_prime(n: int, d: int, budget: float) -> int | None:
-    """The largest prime above d whose census fits the budget, if any."""
-    best, p = None, next_odd_prime(d)
-    while _census_cost(n, d, p) <= budget:
-        best, p = p, next_odd_prime(p)
-    return best
+    """The largest odd prime above d that fiber_census accepts, if any.
+
+    The walk goes down from the least of the budget, sum, key and modulus
+    bounds. Each is within a few units above the largest p it admits, and
+    _refusal judges every candidate exactly, so the walk is short.
+    """
+    top = min(MAX_MODULUS - 1, isqrt(_EXACT // (d + 1)) + 1, int(2 ** (63 / (n + 1))) + 1)
+    reach = (max(budget, 0) / comb(n + d, n)) ** (1 / n)  # p^n |basis| < cost
+    if reach < top:
+        top = int(reach) + 1
+    for q in range(top - 1 + top % 2, next_odd_prime(d) - 1, -2):
+        if is_prime(q) and _refusal(n, d, q, budget) is None:
+            return q
+    return None
 
 
 def next_odd_prime(p: int) -> int:

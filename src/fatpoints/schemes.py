@@ -14,6 +14,7 @@ generic value and equals it with high probability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Sequence
 
@@ -192,7 +193,9 @@ def sample(spec: SchemeSpec, prime: int, seed: int) -> SampledScheme:
 
     Replays exactly for equal (spec placement list, prime, seed); extending the
     point list leaves earlier samples unchanged, which keeps a system and its
-    extensions on the same configuration.
+    extensions on the same configuration. Each point is drawn once per process
+    by _sample_one, so the arrays returned are read-only and may be shared
+    between calls.
     """
     p = check_modulus(prime)
     bound = max([spec.d] + [pt.multiplicity for pt in spec.points])
@@ -201,14 +204,38 @@ def sample(spec: SchemeSpec, prime: int, seed: int) -> SampledScheme:
     pts: list[np.ndarray] = []
     dirs: list[tuple[np.ndarray, ...]] = []
     for idx, pt in enumerate(spec.points):
-        rng = _point_rng(prime, seed, idx)
-        coords = _sample_point(pt.placement, spec.n, p, rng, pts)
-        vecs = tuple(
-            _sample_direction(dr, coords, spec.n, p, rng, pts) for dr in pt.directions
+        centers = tuple(
+            (pl.center, tuple(pts[pl.center].tolist()))
+            for pl in (pt.placement, *pt.directions)
+            if pl.kind == CLUSTER
         )
+        coords, vecs = _sample_one(p, seed, idx, spec.n, pt, centers)
         pts.append(coords)
         dirs.append(vecs)
     return SampledScheme(tuple(pts), tuple(dirs))
+
+
+# a draw takes about 250-380 bytes, so the cache holds at most about 1.6 MB
+@lru_cache(maxsize=4096)
+def _sample_one(
+    prime: int, seed: int, index: int, n: int, point: FatPoint, centers: tuple
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The read-only coordinates and direction vectors of point `index`.
+
+    The key is everything the draw reads: the substream (prime, seed, index),
+    n, the point's placement and directions, and the coordinates of the
+    earlier points a cluster placement refers to, as (index, coords) pairs.
+    So a hit returns exactly what a fresh draw would.
+    """
+    rng = _point_rng(prime, seed, index)
+    earlier = {c: np.array(v, dtype=np.int64) for c, v in centers}
+    coords = _sample_point(point.placement, n, prime, rng, earlier)
+    vecs = tuple(
+        _sample_direction(dr, coords, n, prime, rng, earlier) for dr in point.directions
+    )
+    for v in (coords, *vecs):
+        v.setflags(write=False)
+    return coords, vecs
 
 
 def _sample_point(pl: Placement, n: int, p: int, rng, earlier) -> np.ndarray:

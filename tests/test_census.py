@@ -1,4 +1,5 @@
 import json
+import time
 from collections import Counter
 from functools import lru_cache
 from itertools import product
@@ -26,7 +27,7 @@ from fatpoints.census import (
 )
 from fatpoints.census import _chart_images
 from fatpoints.cli import main
-from fatpoints.ffield import is_prime
+from fatpoints.ffield import check_modulus, is_prime
 from fatpoints.grammar import parse_spec
 from fatpoints.monomials import monomial_basis
 from fatpoints.schemes import double_points
@@ -44,6 +45,17 @@ def canonical_points(n, p):
     for lead in range(n + 1):
         for free in product(range(p), repeat=n - lead):
             yield (0,) * lead + (1,) + free
+
+
+def test_positions_follow_the_canonical_enumeration():
+    # any nonzero multiple of the i-th canonical point lands on i, zero on |P^n(F_p)|
+    rng = np.random.default_rng(0)
+    for n, p in ((1, 7), (2, 5), (3, 3), (4, 3)):
+        pts = np.array(list(canonical_points(n, p)) + [(0,) * (n + 1)])
+        vals = (pts * rng.integers(1, p, (len(pts), 1)) % p).T.astype(np.float64)
+        inv_table = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.float64)
+        got = census._positions(vals, p, inv_table)
+        assert np.array_equal(got, np.arange(projective_count(n, p) + 1))
 
 
 def python_images(m, pt):
@@ -215,6 +227,31 @@ def test_budget_guard():
     assert str(ei.value).endswith("largest affordable prime is 47")
     with pytest.raises(ValueError, match="no prime above d = 1 fits it"):
         fiber_census(m, budget=5)
+
+
+def test_suggest_prime_matches_the_upward_walk():
+    def upward(n, d, budget):
+        best, p = None, next_odd_prime(d)
+        while census._census_cost(n, d, p) <= budget:
+            best, p = p, next_odd_prime(p)
+        return best
+
+    for n, d, budget in product((1, 2, 3, 4), (1, 2, 3, 5), (1, 5, 100, 1e3, 1e4, 1e5)):
+        assert census._suggest_prime(n, d, budget) == upward(n, d, budget), (n, d, budget)
+
+
+def test_suggest_prime_is_fast_and_accepted_at_a_large_budget():
+    start = time.perf_counter()
+    q = census._suggest_prime(1, 3, 1e9)
+    assert time.perf_counter() - start < 0.5
+    # the budget admits primes near 2.5e8, the float64 sum check only up to 2^25 + 1
+    assert q <= 2**25 + 1
+    assert check_modulus(q) == q
+    assert census._refusal(1, 3, q, 1e9) is None
+    assert "overflow 2^52" in census._refusal(1, 3, next_odd_prime(q), 1e9)
+    m = RationalMap(1, 3, 2147483647, np.eye(2, 4, dtype=np.int64))
+    with pytest.raises(ValueError, match=f"largest affordable prime is {q}$"):
+        fiber_census(m, budget=1e9)
 
 
 def test_next_odd_prime():

@@ -9,6 +9,7 @@ import pytest
 from fatpoints.ffield import rank
 from fatpoints.formulas import k
 from fatpoints.grammar import parse_spec
+from fatpoints import schemes
 from fatpoints.schemes import (
     CLUSTER_SCALE,
     FatPoint,
@@ -103,6 +104,88 @@ def test_sample_placements():
     # near-cluster offsets are CLUSTER_SCALE times a residue vector
     assert CLUSTER_SCALE == 1
     assert diff.any()
+
+
+def _mixed_spec() -> SchemeSpec:
+    """Generic, subspace, explicit and cluster placements, with directions."""
+    return SchemeSpec(3, 4, (
+        FatPoint(Placement.generic(), 2, (Placement.generic(),)),
+        FatPoint(Placement.on_subspace(1), 2, (Placement.on_subspace(2),)),
+        FatPoint(Placement.explicit((1, 2, 3, 0)), 1, (Placement.explicit((0, 0, 1, 5)),)),
+        FatPoint(Placement.near_cluster(0), 2, (Placement.near_cluster(1),)),
+        FatPoint(Placement.near_cluster(3), 1),
+    ))
+
+
+def _same_sample(a, b) -> bool:
+    return (
+        len(a.points) == len(b.points)
+        and all(np.array_equal(u, v) for u, v in zip(a.points, b.points))
+        and [len(t) for t in a.directions] == [len(t) for t in b.directions]
+        and all(
+            np.array_equal(u, v)
+            for s, t in zip(a.directions, b.directions)
+            for u, v in zip(s, t)
+        )
+    )
+
+
+def test_sample_cold_equals_warm():
+    spec = _mixed_spec()
+    for p, seed in ((P, 0), (P, 7), (65521, 3)):
+        schemes._sample_one.cache_clear()
+        cold = sample(spec, p, seed)
+        assert schemes._sample_one.cache_info().hits == 0
+        warm = sample(spec, p, seed)
+        assert schemes._sample_one.cache_info().hits == len(spec.points)
+        assert _same_sample(cold, warm)
+
+
+def test_sample_cold_equals_an_uncached_draw():
+    # the draw behind the cache, inlined: _point_rng -> _sample_point -> _sample_direction
+    spec = _mixed_spec()
+    schemes._sample_one.cache_clear()
+    sm = sample(spec, P, 4)
+    pts = []
+    for idx, pt in enumerate(spec.points):
+        rng = schemes._point_rng(P, 4, idx)
+        coords = schemes._sample_point(pt.placement, spec.n, P, rng, pts)
+        vecs = [schemes._sample_direction(dr, coords, spec.n, P, rng, pts) for dr in pt.directions]
+        pts.append(coords)
+        assert np.array_equal(sm.points[idx], coords)
+        assert all(np.array_equal(u, v) for u, v in zip(sm.directions[idx], vecs))
+
+
+def test_sample_arrays_are_read_only():
+    sm = sample(_mixed_spec(), P, 0)
+    for arr in (*sm.points, *(v for vecs in sm.directions for v in vecs)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_sample_cache_keys_separate_draws():
+    base = sample(double_points(3, 4, 2), P, 0).points[1]
+    # the FatPoints are equal across n, so n must be part of the key
+    assert len(sample(double_points(4, 4, 2), P, 0).points[1]) == 5
+    assert not np.array_equal(sample(double_points(3, 4, 2), 65521, 0).points[1], base)
+    assert not np.array_equal(sample(double_points(3, 4, 2), P, 1).points[1], base)
+    # equal cluster FatPoints at one index: the center's coordinates must be in the key
+    moved = SchemeSpec(2, 3, (
+        FatPoint(Placement.explicit((1, 0, 0)), 1), FatPoint(Placement.near_cluster(0), 1)))
+    other = SchemeSpec(2, 3, (
+        FatPoint(Placement.explicit((1, 1, 0)), 1), FatPoint(Placement.near_cluster(0), 1)))
+    a, b = sample(moved, P, 0).points[1], sample(other, P, 0).points[1]
+    assert not np.array_equal(a, b)
+
+
+def test_sample_extension_hits_the_cache():
+    schemes._sample_one.cache_clear()
+    sample(double_points(3, 4, 3), P, 2)
+    assert schemes._sample_one.cache_info().misses == 3
+    sample(double_points(3, 5, 5), P, 2)
+    info = schemes._sample_one.cache_info()
+    assert (info.hits, info.misses) == (3, 5)
 
 
 def test_sample_prime_guards():
