@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb
 
 import numpy as np
 
@@ -215,16 +215,19 @@ def _refusal(n: int, d: int, p: int, budget: float) -> str | None:
 def _suggest_prime(n: int, d: int, budget: float) -> int | None:
     """The largest odd prime above d that fiber_census accepts, if any.
 
-    The walk goes down from the least of the budget, sum, key and modulus
-    bounds. Each is within a few units above the largest p it admits, and
-    _refusal judges every candidate exactly, so the walk is short.
+    Every refusal of _refusal grows with p. Doubling from d + 1 brackets the
+    largest p it accepts (past d + 1 a probed cost is at most 2^(n+1) times an
+    accepted one, so a refusal message can print it), bisection finds that p,
+    and the walk goes down from there to a prime.
     """
-    top = min(MAX_MODULUS - 1, isqrt(_EXACT // (d + 1)) + 1, int(2 ** (63 / (n + 1))) + 1)
-    reach = (max(budget, 0) / comb(n + d, n)) ** (1 / n)  # p^n |basis| < cost
-    if reach < top:
-        top = int(reach) + 1
-    for q in range(top - 1 + top % 2, next_odd_prime(d) - 1, -2):
-        if is_prime(q) and _refusal(n, d, q, budget) is None:
+    lo, hi = d, d + 1  # _refusal accepts lo (or lo = d) and refuses hi (or hi = MAX_MODULUS)
+    while hi < MAX_MODULUS and _refusal(n, d, hi, budget) is None:
+        lo, hi = hi, min(2 * hi, MAX_MODULUS)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _refusal(n, d, mid, budget) is None else (lo, mid)
+    for q in range(lo - 1 + lo % 2, next_odd_prime(d) - 1, -2):
+        if is_prime(q):
             return q
     return None
 
@@ -298,7 +301,7 @@ class IdentifiabilityVerdict:
 
 
 # the complete list of identifiable perfect pairs: (1, 2k-1) for all k, plus
-IDENTIFIABLE_SPORADIC = {(3, 3): 5, (2, 5): 7}
+IDENTIFIABLE_SPORADIC = {(3, 3), (2, 5)}
 
 
 def identifiability_verdict(
@@ -320,14 +323,13 @@ def identifiability_verdict(
         status = "identifiable"
     elif (n, d) in IDENTIFIABLE_SPORADIC:
         status = "identifiable"
-        assert IDENTIFIABLE_SPORADIC[(n, d)] == s
     else:
         status = "not-identifiable"
     censuses: tuple[FiberCensus, ...] = ()
     if corroborate and n in CENSUS_PRIMES:
         runs = []
         for p in CENSUS_PRIMES[n]:
-            if _census_cost(n, d, p) <= budget:
+            if _refusal(n, d, p, budget) is None:
                 runs.append(census_for_doubles(n, d, s - 1, p, budget=budget))
         censuses = tuple(runs)
     return IdentifiabilityVerdict(n, d, status, s, censuses)

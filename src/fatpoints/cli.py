@@ -409,7 +409,7 @@ def _main(argv) -> int:
     except (SpecSyntaxError, SpecSemanticError, UsageError, PrimeBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         if args.json:
             print(json.dumps({**payload, "error": str(exc)}, sort_keys=True, indent=2))
         else:

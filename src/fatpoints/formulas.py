@@ -14,7 +14,7 @@ from math import ceil, comb, floor
 
 AH_SPORADIC = frozenset({(2, 4, 5), (3, 4, 9), (4, 3, 7), (4, 4, 14)})
 
-COLLISION_EXCLUDED = frozenset({(2, 5), (3, 9), (4, 7), (4, 14)})
+COLLISION_EXCLUDED = frozenset((n, h) for n, _, h in AH_SPORADIC)
 
 
 def k(n: int, d: int) -> Fraction:

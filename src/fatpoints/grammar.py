@@ -8,8 +8,10 @@
     at      := "@" ("gen" | "H" INT | "pt" INT)
 
 Whitespace is insignificant. "@Hk" places on the flag member H_k, "@ptK"
-references the K-th point (0-based, in expansion order): for a point it means
-"cluster near point K", for directions "along the chord toward point K".
+references the K-th point (0-based, in expansion order). For directions it
+means "along the chord toward point K". For a point it adds a uniform offset
+in F_p^{n+1} to point K's coordinates; F_p has no notion of "near", so the
+point is distributed exactly like a generic one and is not tied to point K.
 Examples: "L(3,3;2^4)", "L(5,4;3[10],2^8,2^6@H3)".
 
 The grammar cannot express explicit coordinates or mixed per-point direction

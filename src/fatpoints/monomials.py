@@ -21,7 +21,7 @@ factors are residues below p < 2^31, so the int64 product is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial, perm, prod
 
@@ -50,7 +50,10 @@ def monomial_basis(n: int, d: int) -> "MonomialBasis":
         raise ValueError(f"ambient dimension must be >= 1, got n={n}")
     if d < 0:
         raise ValueError(f"degree must be >= 0, got d={d}")
-    return MonomialBasis(n, d, _exponents(n, d))
+    exponents = _exponents(n, d)
+    arr = np.array(exponents, dtype=np.int64)
+    arr.setflags(write=False)
+    return MonomialBasis(n, d, exponents, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,18 +63,10 @@ class MonomialBasis:
     n: int
     d: int
     exponents: tuple[tuple[int, ...], ...]
+    exponent_array: np.ndarray = field(repr=False)  # read-only, one row per exponent
 
     def __len__(self) -> int:
         return len(self.exponents)
-
-    @property
-    def exponent_array(self) -> np.ndarray:
-        arr = getattr(self, "_arr", None)
-        if arr is None:
-            arr = np.array(self.exponents, dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, "_arr", arr)
-        return arr
 
 
 def point_rows(basis: MonomialBasis, pts, m: int, directions, p: int) -> list[np.ndarray]:
@@ -103,10 +98,8 @@ def point_rows(basis: MonomialBasis, pts, m: int, directions, p: int) -> list[np
         return list(rows)
     orders = monomial_basis(n, m)
     # w[v, alpha] = v^alpha / alpha! mod p; alpha! is invertible since m < p
-    vpw = _power_table(vs.ravel(), m, p).reshape(len(vs), n + 1, m + 1)
-    w = np.array([pow(prod(map(factorial, a)), -1, p) for a in orders.exponents], dtype=np.int64)
-    for i in range(n + 1):
-        w = w * vpw[:, i, orders.exponent_array[:, i]] % p
+    inv_factorials = [pow(prod(map(factorial, a)), -1, p) for a in orders.exponents]
+    w = evaluate_basis(orders, vs, p) * np.array(inv_factorials, dtype=np.int64) % p
     tangent = (w[:, :, None] * _derivative_rows(pts[owner], d, m, p) % p).sum(axis=1) % p
     split = np.cumsum([len(dirs) for dirs in directions])[:-1]
     return [np.vstack(block) for block in zip(rows, np.split(tangent, split))]

@@ -29,16 +29,18 @@ SUBSPACE = "subspace"
 EXPLICIT = "explicit"
 CLUSTER = "cluster"
 
-CLUSTER_SCALE = 1  # fixed nonzero offset residue for near-cluster sampling
-
 
 @dataclass(frozen=True)
 class Placement:
     """Where a point (or tangent direction) sits.
 
     kind "generic": uniform over P^n; "subspace": uniform over the flag member
-    H_dim; "explicit": the given coordinates; "cluster": offset CLUSTER_SCALE
-    times a random direction from the referenced point (limit experiments).
+    H_dim; "explicit": the given coordinates; "cluster": for a point, the
+    referenced point's coordinates plus a uniform offset in F_p^{n+1}, and for a
+    direction, the chord toward the referenced point. F_p has no notion of
+    "near": a cluster point is distributed exactly like a generic one, and only
+    a chord direction ties a system to the referenced point. A limit experiment
+    needs explicit coordinates, as `collisions` builds them.
     """
 
     kind: str
@@ -245,7 +247,7 @@ def _sample_point(pl: Placement, n: int, p: int, rng, earlier) -> np.ndarray:
         center = earlier[pl.center]
         while True:
             w = rng.integers(0, p, n + 1)
-            v = (center + CLUSTER_SCALE * w) % p
+            v = (center + w) % p
             if v.any():
                 return normalize(v, p)
     top = pl.dim if pl.kind == SUBSPACE else n
@@ -392,19 +394,10 @@ def dimension(
     return report(min(t.dim for t in trials), trials)
 
 
-@dataclass(frozen=True)
-class AHVerdict:
-    special: bool
-    exception: str | None  # "quadric" | "sporadic" | None
+def ah_classify(n: int, d: int, h: int) -> str | None:
+    """Why h general double points on degree-d forms of P^n are special, or None.
 
-    def __bool__(self) -> bool:
-        return self.special
-
-
-def ah_classify(n: int, d: int, h: int) -> AHVerdict:
-    """Speciality of h general double points on degree-d forms of P^n.
-
-    Special exactly for d = 2 with 2 <= h <= n, and for the four sporadic
+    "quadric" exactly for d = 2 with 2 <= h <= n, "sporadic" for the four
     triples (2,4,5), (3,4,9), (4,3,7), (4,4,14); the sporadic systems all have
     dimension 0 while their expected dimension is -1.
     """
@@ -413,10 +406,10 @@ def ah_classify(n: int, d: int, h: int) -> AHVerdict:
     if n < 1 or h < 1:
         raise ValueError(f"need n >= 1 and h >= 1, got n={n}, h={h}")
     if d == 2 and 2 <= h <= n:
-        return AHVerdict(True, "quadric")
+        return "quadric"
     if (n, d, h) in AH_SPORADIC:
-        return AHVerdict(True, "sporadic")
-    return AHVerdict(False, None)
+        return "sporadic"
+    return None
 
 
 def double_points(n: int, d: int, h: int) -> SchemeSpec:

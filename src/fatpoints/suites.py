@@ -46,8 +46,8 @@ class CaseResult:
     origin: str
     elapsed: float
 
-    def as_dict(self, timings: bool = True) -> dict:
-        d = {
+    def as_dict(self) -> dict:
+        return {
             "id": self.id,
             "op": self.op,
             "params": self.params,
@@ -55,10 +55,8 @@ class CaseResult:
             "observed": self.observed,
             "passed": self.passed,
             "origin": self.origin,
+            "elapsed": round(self.elapsed, 3),
         }
-        if timings:
-            d["elapsed"] = round(self.elapsed, 3)
-        return d
 
 
 @dataclass(frozen=True)
@@ -77,17 +75,15 @@ class SuiteResult:
     def failures(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.cases if not c.passed)
 
-    def as_dict(self, timings: bool = True) -> dict:
-        d = {
+    def as_dict(self) -> dict:
+        return {
             "suite": self.name,
             "primes": list(self.primes),
             "seeds": list(self.seeds),
             "passed": self.passed,
-            "cases": [c.as_dict(timings) for c in self.cases],
+            "cases": [c.as_dict() for c in self.cases],
+            "elapsed": round(self.elapsed, 3),
         }
-        if timings:
-            d["elapsed"] = round(self.elapsed, 3)
-        return d
 
 
 _CHECKS = {
@@ -154,14 +150,15 @@ def _op_dim(case, primes, seeds, budget) -> dict:
 def _op_ah(case, primes, seeds, budget) -> dict:
     n, d, h = case["n"], case["d"], case["h"]
     rep = dimension(double_points(n, d, h), primes, seeds)
-    verdict = ah_classify(n, d, h)
+    exception = ah_classify(n, d, h)
+    predicted = exception is not None
     return {
         "computed": rep.computed,
         "expected": rep.expected,
         "special": rep.special,
-        "predicted": verdict.special,
-        "match": rep.special == verdict.special,
-        "exception": verdict.exception,
+        "predicted": predicted,
+        "match": rep.special == predicted,
+        "exception": exception,
     }
 
 
@@ -405,12 +402,12 @@ def suite_names() -> tuple[str, ...]:
 # ------------------------------------------------------------------- reports
 
 
-def json_report(results, timings: bool = True) -> dict:
+def json_report(results) -> dict:
     results = [results] if isinstance(results, SuiteResult) else list(results)
     return {
         "tool_version": __version__,
         "passed": all(r.passed for r in results),
-        "suites": [r.as_dict(timings) for r in results],
+        "suites": [r.as_dict() for r in results],
     }
 
 

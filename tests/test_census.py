@@ -254,6 +254,26 @@ def test_suggest_prime_is_fast_and_accepted_at_a_large_budget():
         fiber_census(m, budget=1e9)
 
 
+@pytest.mark.parametrize("n, bound", [(1, "overflow 2^52"), (2, "int64 image keys"),
+                                      (5, "int64 image keys")])
+def test_suggest_prime_at_an_unbounded_budget(n, bound):
+    # no cost refusal: the float64 sum bound sets the answer at n = 1, the key bound above
+    q = census._suggest_prime(n, 3, float("inf"))
+    assert is_prime(q)
+    assert census._refusal(n, 3, q, float("inf")) is None
+    assert bound in census._refusal(n, 3, next_odd_prime(q), float("inf"))
+
+
+@pytest.mark.parametrize("n, d", [(1, 3), (3, 3), (5, 2), (40, 1)])
+def test_suggest_prime_below_every_census(n, d):
+    # at n = 40 the cost at p near 2^30 is beyond the float range of the refusal message,
+    # so a search that probed there would raise instead of returning None
+    budget = census._census_cost(n, d, next_odd_prime(d)) - 1
+    assert census._refusal(n, d, next_odd_prime(d), budget) is not None
+    assert census._suggest_prime(n, d, budget) is None
+    assert census._suggest_prime(n, d, 1.0) is None
+
+
 def test_next_odd_prime():
     assert next_odd_prime(3) == 5
     assert next_odd_prime(13) == 17

@@ -189,6 +189,23 @@ def test_seq_domain_error_exit_1(capsys):
     assert set(payload) == {"tool_version", "subcommand", "error"}
 
 
+def test_allocation_failure_exit_1(capsys, monkeypatch):
+    def dimension(*args, **kwargs):
+        raise MemoryError("Unable to allocate 5.31 GiB for an array with shape (27, 27, 27)")
+
+    monkeypatch.setattr(fatpoints.cli, "dimension", dimension)
+    code, out, err = run(capsys, ["dim", "L(12,12;2)"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: Unable to allocate 5.31 GiB for an array with shape (27, 27, 27)\n"
+    code, out, err = run(capsys, ["dim", "L(12,12;2)", "--json"])
+    assert code == 1
+    assert "Traceback" not in out + err
+    payload = json.loads(out)
+    assert set(payload) == {"tool_version", "subcommand", "error"}
+    assert payload["error"].startswith("Unable to allocate 5.31 GiB")
+
+
 def test_ah_small_grid(capsys):
     code, out, _ = run(capsys, ["ah", "--n-max", "2", "--d-max", "3"])
     assert code == 0

@@ -6,12 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fatpoints.ffield import rank
+from fatpoints.ffield import normalize, rank
 from fatpoints.formulas import k
 from fatpoints.grammar import parse_spec
 from fatpoints import schemes
 from fatpoints.schemes import (
-    CLUSTER_SCALE,
     FatPoint,
     Placement,
     SchemeSpec,
@@ -101,9 +100,10 @@ def test_sample_placements():
     cl = parse_spec("L(3,3;2,2@pt0)")
     sc = sample(cl, P, 0)
     diff = (sc.points[1] - sc.points[0]) % P
-    # near-cluster offsets are CLUSTER_SCALE times a residue vector
-    assert CLUSTER_SCALE == 1
     assert diff.any()
+    # a cluster point is point 0 plus a uniform offset from its own substream
+    w = schemes._point_rng(P, 0, 1).integers(0, P, 4)
+    assert np.array_equal(sc.points[1], normalize((sc.points[0] + w) % P, P))
 
 
 def _mixed_spec() -> SchemeSpec:
@@ -265,15 +265,14 @@ def test_dimension_argument_guards():
 
 
 def test_ah_classify():
-    assert ah_classify(4, 3, 7).special
-    assert ah_classify(4, 3, 7).exception == "sporadic"
-    assert not ah_classify(2, 5, 6).special
-    assert ah_classify(5, 2, 3).exception == "quadric"
-    assert ah_classify(2, 2, 2).special
-    assert not ah_classify(2, 2, 1).special
-    assert not ah_classify(2, 2, 5).special  # h > n leaves quadrics nonspecial
-    assert bool(ah_classify(2, 4, 5))
-    assert not bool(ah_classify(2, 4, 4))
+    assert ah_classify(4, 3, 7) == "sporadic"
+    assert ah_classify(2, 5, 6) is None
+    assert ah_classify(5, 2, 3) == "quadric"
+    assert ah_classify(2, 2, 2) == "quadric"
+    assert ah_classify(2, 2, 1) is None
+    assert ah_classify(2, 2, 5) is None  # h > n leaves quadrics nonspecial
+    assert ah_classify(2, 4, 5) == "sporadic"
+    assert ah_classify(2, 4, 4) is None
     with pytest.raises(ValueError):
         ah_classify(2, 1, 3)
     with pytest.raises(ValueError):
