@@ -25,6 +25,7 @@ histogram as long as the largest fiber.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from functools import lru_cache
 from math import comb
 
@@ -204,12 +205,20 @@ def _refusal(n: int, d: int, p: int, budget: float) -> str | None:
     """Why fiber_census refuses a degree-d map of P^n over F_p, or None."""
     cost = _census_cost(n, d, p)
     if cost > budget:
-        return f"census cost {cost:.2e} exceeds budget {budget:.0e}"
+        return f"census cost {_sci(cost)} exceeds budget {budget:.0e}"
     if (d + 1) * (p - 1) ** 2 > _EXACT:
         return f"float64 sums of {d + 1} residue products overflow 2^52 at p={p}"
     if p ** (n + 1) > 2**63:
         return f"int64 image keys overflow at p={p}, n={n}"
     return None
+
+
+def _sci(x: int) -> str:
+    """x as f"{x:.2e}" prints it; past the float range, rounded from x exactly."""
+    try:
+        return f"{x:.2e}"
+    except OverflowError:
+        return f"{Decimal(x):.2e}"
 
 
 def _suggest_prime(n: int, d: int, budget: float) -> int | None:

@@ -362,7 +362,6 @@ def _cmd_suite(args):
     report = json_report(results)
     return {
         "result": report,
-        "cases": [c for res in report["suites"] for c in res["cases"]],
         "expected": {"passed": True},
         "lines": [line for res in results
                   for line in _summary(res, res.name, f" ({res.elapsed:.1f}s)")],

@@ -1,7 +1,7 @@
 """Exact linear algebra over prime fields.
 
 Matrices are dense int64 numpy arrays with entries reduced mod p. Elimination
-is a row-batch Gauss-Jordan (`_eliminate`) that uses modular inverses
+is a row-batch Gauss-Jordan (`_reduced_rows`) that uses modular inverses
 (``pow(x, -1, p)``), so everything stays integral, and it is exact for every
 p < MAX_MODULUS:
 
@@ -15,7 +15,10 @@ p < MAX_MODULUS:
   dimension 2^20.
 
 The reduced row echelon form is unique, so the pivots and `kernel_basis` do
-not depend on the batch size.
+not depend on the batch size. `rank` reads only the pivot count, and
+eliminates whichever of A and A^T is narrower (A^T as a view), since each
+pivot step spans the width. Only `kernel_basis` needs the reduced rows, sorted
+into the reduced row echelon form by `_eliminate`.
 
 This module owns the residue arithmetic of the package: `_reduce` is the one
 float64 reduction mod p, shared by elimination and the census, and `normalize`
@@ -25,6 +28,7 @@ the one projective representative, shared by sampling, kernel vectors and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +73,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def check_modulus(p: int) -> int:
-    """p itself, if it is an odd prime below MAX_MODULUS; else ValueError."""
+    """p itself, if it is an odd prime below MAX_MODULUS; else ValueError.
+
+    Memoised (an error is not cached); typed, so p comes back as the type passed.
+    """
     if p <= 2 or not is_prime(p):
         raise ValueError(f"modulus must be an odd prime, got {p}")
     if p >= MAX_MODULUS:
@@ -192,14 +200,16 @@ def _gauss_jordan(x: np.ndarray, p: int) -> list[int]:
     return pivots
 
 
-def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of the residue matrix a, and its pivot columns.
+def _reduced_rows(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """The reduced rows of the residue matrix a, in the order found, and their pivots.
 
     Rows are taken _BATCH at a time. A batch is first cleared against the
     reduced rows found so far with one exact product, then reduced by int64
     row steps; its new pivot columns are then cleared from the earlier rows
-    with a second product. The reduced row echelon form is unique, so the
-    batching changes neither the pivots nor the result. a is not mutated.
+    with a second product. Row i is the reduced row of pivot column
+    pivots[i], so sorting both by pivot gives the reduced row echelon form.
+    That form is unique, so the batching changes neither the pivots nor the
+    result. a is not mutated.
     """
     m, n = a.shape
     basis = np.empty((min(m, n), n))
@@ -221,14 +231,26 @@ def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             basis[:r] = _addmul(basis[:r], p - basis[:r, new], rows, p)
         basis[r : r + len(new)] = rows
         pivots += new
+    return basis[: len(pivots)], pivots
+
+
+def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of the residue matrix a, and its pivot columns."""
+    rows, pivots = _reduced_rows(a, p)
     out = np.zeros_like(a)
-    out[: len(pivots)] = basis[np.argsort(pivots)]
+    out[: len(pivots)] = rows[np.argsort(pivots)]
     return out, sorted(pivots)
 
 
 def rank(m: FieldMatrix) -> int:
-    """Rank over F_p. The input matrix is not mutated."""
-    return len(_eliminate(m.a, m.p)[1])
+    """Rank over F_p. The input matrix is not mutated.
+
+    rank(A) = rank(A^T), so a wide matrix is eliminated through its transpose
+    (a view): each pivot step then spans the short side, and elimination
+    stops once the short side is full.
+    """
+    a = m.a.T if m.rows < m.cols else m.a
+    return len(_reduced_rows(a, m.p)[1])
 
 
 def kernel_basis(m: FieldMatrix) -> list[np.ndarray]:

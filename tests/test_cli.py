@@ -250,6 +250,16 @@ def test_cremona_wrong_dimension_exit_1(capsys):
     assert "no candidate self-map" in err
 
 
+def test_census_cost_past_the_float_range_is_refused(capsys):
+    # the cost, 71 |P^70(F_32003)|, is about 1.6e317: beyond every float
+    code, out, err = run(capsys, ["cremona", "L(70,1;)", "--prime", "32003"])
+    assert code == 1 and out == ""
+    assert err == "error: census cost 1.64e+317 exceeds budget 1e+10; no prime above d = 1 fits it\n"
+    code, payload, _ = run_json(capsys, ["cremona", "L(70,1;)", "--prime", "32003"])
+    assert code == 1
+    assert payload["error"] == err[len("error: "):].rstrip("\n")
+
+
 def test_identif_no_census(capsys):
     code, out, _ = run(capsys, ["identif", "--n", "2", "--d", "4", "--no-census"])
     assert code == 0
@@ -335,6 +345,9 @@ def test_suite_subcommand(capsys):
     assert payload["result"]["passed"] is True
     assert payload["primes"] == [32003, 65521]
     assert payload["seeds"] == [0]
+    # each case is reported once, inside its suite
+    assert payload["cases"] == []
+    assert len(payload["result"]["suites"][0]["cases"]) > 0
     code, _, err = run(capsys, ["suite", "bogus"])
     assert code == 2
     assert "unknown suite" in err

@@ -39,6 +39,19 @@ def test_prime_field_rejects_composites():
         FieldMatrix([[1]], 91)
 
 
+def test_check_modulus_memo_refuses_every_time_and_keeps_the_type():
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            check_modulus(91)
+        with pytest.raises(ValueError):
+            check_modulus(4294967311)
+    hits = check_modulus.cache_info().hits
+    assert type(check_modulus(np.int64(13))) is np.int64
+    assert type(check_modulus(13)) is int
+    assert check_modulus(13) == 13
+    assert check_modulus.cache_info().hits > hits
+
+
 def test_prime_field_rejects_moduli_beyond_int64_range():
     # (p-1)^2 must fit int64 with room for a subtraction
     assert (MAX_MODULUS - 1) ** 2 < 2**62

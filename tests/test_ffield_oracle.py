@@ -1,17 +1,21 @@
 """Row-batch elimination against a Python-integer Gauss-Jordan oracle.
 
 Shapes reach 80 rows so that the 32-row batches of `ffield._eliminate` are
-crossed, tall and wide. The moduli run from 3 to 2^31 - 1, where the float64
+crossed, tall and wide. `rank` eliminates the transpose of a wide matrix, so
+every shape is also ranked transposed. The moduli run from 3 to 2^31 - 1, where the float64
 products of `ffield._addmul` need several limbs; at 1073741789 the int64 row
 steps of `ffield._gauss_jordan` reduce every 7 steps, mid-batch, where the
 other moduli reduce after every step or only at the end.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fatpoints import ffield
 from fatpoints.census import next_odd_prime
 from fatpoints.ffield import MAX_MODULUS, FieldMatrix, _addmul, _eliminate, _reduce, is_prime, kernel_basis, rank
 
@@ -83,6 +87,7 @@ def check_against_oracle(a: np.ndarray, p: int) -> None:
     m = FieldMatrix(a, p)
     red, pivots = oracle_rref(a.tolist(), p)
     assert rank(m) == len(pivots)
+    assert rank(FieldMatrix(a.T, p)) == len(pivots)
     got, got_pivots = _eliminate(m.a, p)
     assert got_pivots == pivots
     want = np.zeros(a.shape, dtype=np.int64)
@@ -115,6 +120,36 @@ def test_elimination_crosses_batches(shape, p, kind):
 @pytest.mark.parametrize("shape", [(0, 5), (4, 0), (0, 0)])
 def test_elimination_of_empty_shapes(shape):
     check_against_oracle(np.zeros(shape, dtype=np.int64), 5)
+
+
+def test_rank_of_a_wide_matrix_leaves_it_unchanged():
+    a = build("uniform", 20, 90, 32003, seed=7)
+    m = FieldMatrix(a, 32003)
+    assert not m.a.flags.writeable
+    assert rank(m) == 20
+    assert np.array_equal(m.a, a)
+    assert not m.a.flags.writeable
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_wide_rank_deficient_matrix_runs_every_batch_of_its_transpose(p, monkeypatch):
+    # rank 30 < 40 rows: the short side never fills, so all of A^T's batches run
+    rng = np.random.default_rng(p % 1009)
+    left, right = rng.integers(0, p, (40, 30)), rng.integers(0, p, (30, 150))
+    a = np.array(left.astype(object) @ right.astype(object) % p, dtype=np.int64)
+    batches = []
+
+    def gauss_jordan(x, q):
+        batches.append(x.shape)
+        return real(x, q)
+
+    real = ffield._gauss_jordan
+    monkeypatch.setattr(ffield, "_gauss_jordan", gauss_jordan)
+    assert rank(FieldMatrix(a, p)) == len(oracle_rref(a.tolist(), p)[1])
+    assert len(batches) == math.ceil(150 / ffield._BATCH)
+    assert all(shape[1] == 40 for shape in batches)
+    monkeypatch.undo()
+    check_against_oracle(a, p)
 
 
 def test_elimination_worst_case_entries():
