@@ -100,7 +100,7 @@ _OPTIONS = {
     "budget": ("--budget", dict(
         type=_budget, default=DEFAULT_BUDGET, help="op budget for censuses")),
     "suite_budget": ("--budget", dict(
-        type=_budget, default=None, help="op budget for censuses (default: the manifest's)")),
+        type=_budget, default=None, help="op budget for every census case (default: each suite's)")),
     "csv": ("--csv", dict(action="store_true", help="emit a CSV summary")),
     "json": ("--json", dict(action="store_true", help="emit the JSON report")),
 }
@@ -153,10 +153,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("spec")
 
     sp = command("suite", "run manifest suites", "csv", "suite_budget")
-    sp.add_argument("names", nargs="*", help=f"subset of {', '.join(suite_names())}")
+    sp.add_argument("names", nargs="*", help="suites to run (default: all the manifest's)")
     sp.add_argument("--manifest", help="alternate manifest path")
 
     return p
+
+
+def _manifest(path, names):
+    """The manifest at path (by default the packaged one); it must hold the named suites."""
+    try:
+        manifest = load_manifest(path)
+    except OSError as exc:
+        raise UsageError(f"cannot read manifest {path}: {exc.strerror}") from None
+    unknown = [nm for nm in names if nm not in suite_names(manifest)]
+    if unknown:
+        raise UsageError(f"unknown suite(s): {', '.join(unknown)}")
+    return manifest
 
 
 def _cmd_dim(args):
@@ -193,7 +205,7 @@ def _summary(res, label, tail=""):
 
 
 def _cmd_ah(args):
-    res = run_ah_suite(args.n_max, args.d_max, manifest=load_manifest(args.manifest))
+    res = run_ah_suite(args.n_max, args.d_max, manifest=_manifest(args.manifest, ["ah"]))
     if not res.cases:
         raise UsageError("the ah grid has no case up to this --n-max and --d-max")
     return {
@@ -201,7 +213,7 @@ def _cmd_ah(args):
         "cases": [c.as_dict() for c in res.cases],
         "expected": {"passed": True},
         "lines": _summary(res, "ah grid"),
-        "csv": csv_summary(res),
+        "csv": csv_summary([res]),
         "primes": res.primes,
         "seeds": res.seeds,
     }
@@ -350,15 +362,9 @@ def _cmd_castelnuovo(args):
 
 
 def _cmd_suite(args):
-    manifest = load_manifest(args.manifest)
-    names = args.names or list(suite_names())
-    bad = [nm for nm in names if nm not in suite_names()]
-    if bad:
-        raise UsageError(f"unknown suite(s): {', '.join(bad)}")
-    results = []
-    for nm in names:
-        kwargs = {"budget": args.suite_budget} if nm == "theorem2" else {}
-        results.append(run_suite(nm, manifest=manifest, **kwargs))
+    manifest = _manifest(args.manifest, args.names)
+    names = args.names or suite_names(manifest)
+    results = [run_suite(nm, manifest, args.suite_budget) for nm in names]
     report = json_report(results)
     return {
         "result": report,

@@ -117,6 +117,21 @@ def check_expected(expected: dict, observed: dict) -> bool:
     return True
 
 
+class _Entry(dict):
+    """A manifest entry; reading a key it lacks is a manifest fault that names it.
+
+    Only lookups on the entry itself are caught, so a KeyError raised inside
+    a computation stays a KeyError.
+    """
+
+    def __init__(self, where: str, entry: dict):
+        super().__init__(entry)
+        self.where = where
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.where} has no {key!r}")
+
+
 def load_manifest(path=None) -> dict:
     if path is None:
         text = resources.files("fatpoints.data").joinpath("manifest.json").read_text()
@@ -250,7 +265,7 @@ def _op_census(case, primes, seeds, budget) -> dict:
     runs = [
         census_for_doubles(
             case["n"], case["d"], case["h"], p, seed=seeds[0],
-            budget=budget if budget is not None else DEFAULT_BUDGET,
+            budget=budget,
         )
         for p in case["primes"]
     ]
@@ -331,8 +346,9 @@ def run_ah_suite(
     by the grid (one has h above k). Each exceptional system must also compute
     dimension 0.
     """
-    conf = (manifest or load_manifest())["suites"]["ah"]
-    grid = conf["grid"]
+    manifest = load_manifest() if manifest is None else manifest
+    conf = _Entry("suite 'ah'", manifest["suites"]["ah"])
+    grid = _Entry("suite 'ah' grid", conf["grid"])
     n_max = grid["n_max"] if n_max is None else n_max
     d_max = grid["d_max"] if d_max is None else d_max
     sporadic = {tuple(t) for t in conf["sporadics"]}
@@ -362,48 +378,46 @@ def run_ah_suite(
 
 def run_prop23_suite(manifest: dict | None = None) -> SuiteResult:
     """Nonspeciality of one triple point plus the tabulated number of doubles."""
-    conf = (manifest or load_manifest())["suites"]["prop23"]
-    return _run_cases("prop23", conf["cases"], conf["primes"], conf["seeds"])
-
-
-def run_section45_suite(manifest: dict | None = None) -> SuiteResult:
-    """Flag specializations, kernel emptiness, cubic kernels, genus bookkeeping."""
-    conf = (manifest or load_manifest())["suites"]["section45"]
-    return _run_cases("section45", conf["cases"], conf["primes"], conf["seeds"])
+    return run_suite("prop23", manifest)
 
 
 def run_theorem2_suite(manifest: dict | None = None, budget: float | None = None) -> SuiteResult:
     """Fiber censuses of the candidate self-maps, with cross-prime agreement."""
-    conf = (manifest or load_manifest())["suites"]["theorem2"]
-    if budget is None:
-        budget = conf.get("budget", DEFAULT_BUDGET)
-    primes = sorted({p for case in conf["cases"] for p in case["primes"]})
-    return _run_cases("theorem2", conf["cases"], primes, conf["seeds"], budget=budget)
+    return run_suite("theorem2", manifest, budget)
 
 
-_SUITES = {
-    "ah": run_ah_suite,
-    "prop23": run_prop23_suite,
-    "section45": run_section45_suite,
-    "theorem2": run_theorem2_suite,
-}
+def run_suite(name: str, manifest: dict | None = None, budget: float | None = None) -> SuiteResult:
+    """Run one suite of the manifest (by default the packaged one).
+
+    `ah` runs the cases `run_ah_suite` builds from its grid. Any other suite
+    runs its `cases` at its `primes`, or, when it names none, at the sorted
+    union of its cases' `primes`. Every suite runs at its `seeds`; census
+    cases run at `budget`, else at the suite's `budget`, else DEFAULT_BUDGET.
+    """
+    manifest = load_manifest() if manifest is None else manifest
+    if name not in suite_names(manifest):
+        raise ValueError(f"unknown suite {name!r}; have {list(suite_names(manifest))}")
+    if name == "ah":
+        return run_ah_suite(manifest=manifest)
+    conf = _Entry(f"suite {name!r}", manifest["suites"][name])
+    cases = [_Entry(f"{conf.where} case {case.get('id')!r}", case) for case in conf["cases"]]
+    for case in cases:
+        if case.get("op") not in _HANDLERS:
+            raise ValueError(f"{case.where} has unknown op {case.get('op')!r}")
+    primes = conf["primes"] if "primes" in conf else sorted({p for c in cases for p in c["primes"]})
+    budget = conf.get("budget", DEFAULT_BUDGET) if budget is None else budget
+    return _run_cases(name, cases, primes, conf["seeds"], budget)
 
 
-def run_suite(name: str, manifest: dict | None = None, **kwargs) -> SuiteResult:
-    if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; have {sorted(_SUITES)}")
-    return _SUITES[name](manifest=manifest, **kwargs)
-
-
-def suite_names() -> tuple[str, ...]:
-    return tuple(sorted(_SUITES))
+def suite_names(manifest: dict | None = None) -> tuple[str, ...]:
+    manifest = load_manifest() if manifest is None else manifest
+    return tuple(sorted(_Entry("the manifest", manifest)["suites"]))
 
 
 # ------------------------------------------------------------------- reports
 
 
-def json_report(results) -> dict:
-    results = [results] if isinstance(results, SuiteResult) else list(results)
+def json_report(results: list[SuiteResult]) -> dict:
     return {
         "tool_version": __version__,
         "passed": all(r.passed for r in results),
@@ -411,8 +425,7 @@ def json_report(results) -> dict:
     }
 
 
-def csv_summary(results) -> str:
-    results = [results] if isinstance(results, SuiteResult) else list(results)
+def csv_summary(results: list[SuiteResult]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["suite", "case", "op", "passed", "expected", "observed", "origin"])

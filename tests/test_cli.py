@@ -8,6 +8,7 @@ import pytest
 
 import fatpoints
 from fatpoints.cli import main
+from fatpoints.suites import load_manifest
 
 PAYLOAD_KEYS = {
     "tool_version",
@@ -365,6 +366,72 @@ def test_suite_reads_the_manifest_budget(capsys, tmp_path):
     assert "exceeds budget 1e+00" in err
     code, _, _ = run(capsys, ["suite", "theorem2", "--manifest", str(path), "--budget", "1e10"])
     assert code == 0
+
+
+def test_a_census_in_any_suite_reads_the_budget_option(capsys, tmp_path):
+    manifest = {"suites": {"censuses": {"seeds": [0], "cases": [
+        {"id": "pencil", "op": "census", "n": 1, "d": 3, "h": 1, "primes": [499],
+         "expected": {"verdict": "birational"}},
+    ]}}}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    code, _, err = run(capsys, ["suite", "--manifest", str(path), "--budget", "1e3"])
+    assert code == 1
+    assert "exceeds budget 1e+03" in err
+    code, _, _ = run(capsys, ["suite", "--manifest", str(path)])
+    assert code == 0
+
+
+def test_suite_runs_exactly_the_suites_of_its_manifest(capsys, tmp_path):
+    suites = load_manifest()["suites"]
+    genus = next(c for c in suites["section45"]["cases"] if c["op"] == "genus")
+    extra = {"primes": [32003], "seeds": [0], "cases": [genus]}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"suites": {"prop23": suites["prop23"], "extra": extra}}))
+    code, payload, _ = run_json(capsys, ["suite", "--manifest", str(path)])
+    assert code == 0
+    assert [s["suite"] for s in payload["result"]["suites"]] == ["extra", "prop23"]
+
+
+def _genus_suite(*cases):
+    return {"suites": {"extra": {"primes": [32003], "seeds": [0], "cases": [
+        {"id": "quartic", "op": "genus", "d": 2, "mults": [1, 1, 1],
+         "expected": {"genus": 0}},
+        *cases,
+    ]}}}
+
+
+# (subcommand, manifest written to the tmp path or None for a missing file,
+#  exit code, a phrase of the error line)
+MANIFEST_FAULTS = {
+    "no suites": ("suite", {}, 1, "the manifest has no 'suites'"),
+    "no ah suite": ("ah", _genus_suite(), 2, "unknown suite(s): ah"),
+    "missing file": ("suite", None, 2, "No such file or directory"),
+    "unknown op": ("suite", _genus_suite({"id": "bad", "op": "nope"}), 1,
+                   "suite 'extra' case 'bad' has unknown op 'nope'"),
+    "missing parameter": ("suite", _genus_suite({"id": "bad", "op": "flag-dim", "d": 4}), 1,
+                          "suite 'extra' case 'bad' has no 'n'"),
+}
+
+
+@pytest.mark.parametrize("fault", MANIFEST_FAULTS)
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_manifest_fault_is_one_error_line(capsys, tmp_path, fault, as_json):
+    cmd, manifest, want_code, phrase = MANIFEST_FAULTS[fault]
+    path = tmp_path / "manifest.json"
+    if manifest is not None:
+        path.write_text(json.dumps(manifest))
+    argv = [cmd, "--manifest", str(path), *(["--json"] if as_json else [])]
+    code, out, err = run(capsys, argv)
+    assert code == want_code
+    assert "Traceback" not in out + err
+    if as_json and want_code == 1:
+        assert err == ""
+        assert phrase in json.loads(out)["error"]
+    else:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert phrase in err
 
 
 def test_argparse_exits():

@@ -12,7 +12,6 @@ from fatpoints.suites import (
     load_manifest,
     run_ah_suite,
     run_prop23_suite,
-    run_section45_suite,
     run_suite,
     suite_names,
 )
@@ -114,7 +113,7 @@ def test_prop23_case_subset_and_failure_reporting():
 
 
 def test_section45_suite_passes():
-    res = run_section45_suite()
+    res = run_suite("section45")
     assert res.passed, res.failures
     assert len(res.cases) == 20
     by_id = {c.id: c for c in res.cases}
@@ -145,19 +144,52 @@ def test_run_suite_dispatch():
         run_suite("nope")
 
 
+def test_a_suite_named_only_in_the_manifest_runs():
+    man = load_manifest()
+    genus = next(c for c in man["suites"]["section45"]["cases"] if c["op"] == "genus")
+    extra = {"primes": [32003], "seeds": [0], "cases": [genus]}
+    manifest = {"suites": {"prop23": man["suites"]["prop23"], "extra": extra}}
+    assert suite_names(manifest) == ("extra", "prop23")
+    res = run_suite("extra", manifest)
+    assert res.passed and res.name == "extra"
+    assert [c.id for c in res.cases] == [genus["id"]]
+
+
+def test_unknown_op_is_refused_before_any_case_runs(monkeypatch):
+    ran = []
+    monkeypatch.setitem(_HANDLERS, "genus", lambda case, *args: ran.append(case["id"]) or {})
+    good = {"id": "good", "op": "genus", "d": 2, "mults": [1]}
+    manifest = {"suites": {"extra": {"primes": [7], "seeds": [0], "cases": [
+        good, {"id": "bad", "op": "nope"}]}}}
+    with pytest.raises(ValueError, match="suite 'extra' case 'bad' has unknown op 'nope'"):
+        run_suite("extra", manifest)
+    assert ran == []
+
+
+def test_a_key_error_inside_a_computation_stays_a_key_error(monkeypatch):
+    def broken(case, *args):
+        return {}["inner"]
+
+    monkeypatch.setitem(_HANDLERS, "genus", broken)
+    manifest = {"suites": {"extra": {"primes": [7], "seeds": [0], "cases": [
+        {"id": "good", "op": "genus", "d": 2, "mults": [1]}]}}}
+    with pytest.raises(KeyError, match="inner"):
+        run_suite("extra", manifest)
+
+
 def test_reports():
     res = run_prop23_suite()
-    rep = json_report(res)
+    rep = json_report([res])
     assert set(rep) == {"tool_version", "passed", "suites"}
     assert rep["passed"] is True
     assert rep["suites"][0]["suite"] == "prop23"
 
     assert "elapsed" in json.dumps(rep)
-    once = json.dumps(_without_elapsed(json_report(res)), sort_keys=True)
-    again = json.dumps(_without_elapsed(json_report(run_prop23_suite())), sort_keys=True)
+    once = json.dumps(_without_elapsed(json_report([res])), sort_keys=True)
+    again = json.dumps(_without_elapsed(json_report([run_prop23_suite()])), sort_keys=True)
     assert once == again
 
-    text = csv_summary(res)
+    text = csv_summary([res])
     lines = text.strip().splitlines()
     assert lines[0] == "suite,case,op,passed,expected,observed,origin"
     assert len(lines) == 1 + len(res.cases)
