@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
 
 from ._version import __version__
 from .census import (
@@ -23,17 +22,16 @@ from .census import (
     identifiability_verdict,
     map_from_system,
 )
-from .collisions import collision1_check, indip_check, limit_multiplicity_check
 from .ffield import DEFAULT_PRIMES, check_modulus
-from .formulas import hs_sequences, verify_sequence_properties
 from .grammar import SpecSemanticError, SpecSyntaxError, parse_spec
-from .schemes import PrimeBoundError, castelnuovo_split, dimension
+from .schemes import PrimeBoundError, dimension
 from .suites import (
     check_expected,
     csv_summary,
     json_report,
     load_manifest,
     run_ah_suite,
+    run_case,
     run_suite,
     suite_names,
 )
@@ -220,18 +218,16 @@ def _cmd_ah(args):
 
 
 def _cmd_seq(args):
-    t = hs_sequences(args.n, args.d)
-    props = verify_sequence_properties(t)
-    lines = [f"k({args.n},{args.d}) = {t.k}", "  i    h    s    a"]
-    for i in range(2, t.n + 1):
-        a = t.a.get(i)
-        lines.append(f"{i:3d} {t.h[i]:4d} {t.s[i]:4d} {a if a is not None else '':>5}")
+    case = {"id": "seq", "op": "seq", "n": args.n, "d": args.d,
+            "expected": {"properties": {"eq": True}}}
+    rep = run_case(case, [], []).observed
+    t = rep["table"]
+    lines = [f"k({args.n},{args.d}) = {t['k']}", "  i    h    s    a"]
+    for i, h, s, a in zip(t["i"], t["h"], t["s"], t["a"]):
+        lines.append(f"{i:3d} {h:4d} {s:4d} {a if a is not None else '':>5}")
+    props = rep["properties"]
     lines.append("properties: " + ", ".join(f"{k2}={v}" for k2, v in props.items()))
-    return {
-        "result": {"table": t.as_dict(), "properties": props},
-        "expected": {"properties": dict.fromkeys(props, True)},
-        "lines": lines,
-    }
+    return {"result": rep, "expected": case["expected"], "lines": lines}
 
 
 def _cmd_cremona(args):
@@ -297,68 +293,48 @@ def _cmd_identif(args):
     }
 
 
-# the options each collide op reads besides --n, by dest
-_COLLIDE_READS = {"merge": ("d",), "chords": (), "limit": ("d", "h")}
+# each collide op: the options it reads besides --n (by dest), the values it
+# expects and its report line
+_COLLIDE = {
+    "merge": (("d",), {"dims_equal": True, "degree_identity_ok": True},
+              "merge ({n},{d}): generic={generic_dim} limit={limit_dim} equal={dims_equal}"),
+    "chords": ((), {"independent": True, "all_triples_collinear": True},
+               "chords n={n}: rank={quadric_rank}/{points} "
+               "collinear_triples={all_triples_collinear}"),
+    "limit": (("d", "h"), {}, "limit ({n},{d},{h}): mu={mu} lengths {double_length} vs "
+              "{point_length} -> limit {shape} {mu}-fold point"),
+}
 
 
 def _cmd_collide(args):
-    p, seed = args.prime, args.seed
-    reads = _COLLIDE_READS[args.op]
+    reads, expected, line = _COLLIDE[args.op]
     given = [key for key in ("d", "h") if getattr(args, key) is not None]
     if any(key not in given for key in reads):
         raise UsageError(f"--op {args.op} needs " + " and ".join(f"--{key}" for key in reads))
     unread = [key for key in given if key not in reads]
     if unread:
         raise UsageError(f"--op {args.op} does not read " + " or ".join(f"--{key}" for key in unread))
-    if args.op == "merge":
-        rep = collision1_check(args.n, args.d, p, seed)
-        expected = {"dims_equal": True, "degree_identity_ok": True}
-        line = (f"merge ({args.n},{args.d}): generic={rep.generic_dim} "
-                f"limit={rep.limit_dim} equal={rep.dims_equal}")
-    elif args.op == "chords":
-        rep = indip_check(args.n, p, seed)
-        expected = {"independent": True, "all_triples_collinear": True}
-        line = (f"chords n={args.n}: rank={rep.quadric_rank}/{rep.points} "
-                f"collinear_triples={rep.all_triples_collinear}")
-    else:
-        rep = limit_multiplicity_check(args.n, args.d, args.h, p, seed)
-        expected = {"deeper_point_dim": {"le": rep.doubles_dim}}
-        if rep.exact:
-            expected["fat_point_dim"] = rep.doubles_dim
-        line = (f"limit ({args.n},{args.d},{args.h}): mu={rep.mu} "
-                f"lengths {rep.double_length} vs {rep.point_length} -> {rep.summary}")
-    return {
-        "result": asdict(rep),
-        "expected": expected,
-        "lines": [line],
-        "primes": [p],
-        "seeds": [seed],
-    }
+    case = {"id": args.op, "op": args.op, "n": args.n,
+            **{key: getattr(args, key) for key in reads}, "expected": expected}
+    rep = run_case(case, [args.prime], [args.seed]).observed
+    if args.op == "limit":
+        # the limit's bounds compare two observed values, so they follow the run
+        expected = {"deeper_point_dim": {"le": rep["doubles_dim"]}}
+        if rep["exact"]:
+            expected["fat_point_dim"] = rep["doubles_dim"]
+    shape = "is exactly a" if rep.get("exact") else "strictly contains the"
+    return {"result": rep, "expected": expected, "lines": [line.format(**rep, shape=shape)],
+            "primes": [args.prime], "seeds": [args.seed]}
 
 
 def _cmd_castelnuovo(args):
-    spec = parse_spec(args.spec)
-    kernel, trace = castelnuovo_split(spec)
-    h0 = {}
-    for name, s in (("system", spec), ("kernel", kernel), ("trace", trace)):
-        h0[name] = dimension(s, args.primes, args.seeds).computed + 1
-    subadditive = h0["system"] <= h0["kernel"] + h0["trace"]
-    return {
-        "spec": args.spec,
-        "result": {
-            "kernel": kernel.to_dict(),
-            "trace": trace.to_dict(),
-            "h0": h0,
-            "subadditive": subadditive,
-        },
-        "expected": {"subadditive": True},
-        "lines": [
-            f"h0: system={h0['system']} kernel={h0['kernel']} trace={h0['trace']} "
-            f"subadditive={subadditive}"
-        ],
-        "primes": args.primes,
-        "seeds": args.seeds,
-    }
+    case = {"id": "castelnuovo", "op": "castelnuovo", "spec": args.spec,
+            "expected": {"subadditive": True}}
+    rep = run_case(case, args.primes, args.seeds).observed
+    line = "h0: system={system} kernel={kernel} trace={trace} ".format(**rep["h0"])
+    return {"spec": args.spec, "result": rep, "expected": case["expected"],
+            "lines": [line + f"subadditive={rep['subadditive']}"],
+            "primes": args.primes, "seeds": args.seeds}
 
 
 def _cmd_suite(args):

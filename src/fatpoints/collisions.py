@@ -170,12 +170,6 @@ class LimitMultiplicityReport:
     fat_point_dim: int
     deeper_point_dim: int  # (mu+1)-fold point
 
-    @property
-    def summary(self) -> str:
-        if self.exact:
-            return f"limit is exactly a {self.mu}-fold point"
-        return f"limit strictly contains the {self.mu}-fold point"
-
 
 def limit_multiplicity_check(
     n: int,

@@ -463,6 +463,5 @@ def castelnuovo_split(spec: SchemeSpec) -> tuple[SchemeSpec, SchemeSpec]:
 def _project_placement(pl: Placement, n: int) -> Placement:
     if pl.kind == SUBSPACE:
         return Placement.generic() if pl.dim == n - 1 else Placement.on_subspace(pl.dim)
-    if pl.kind == EXPLICIT:
-        return Placement.explicit(pl.coords[:n])
-    return Placement.generic()
+    # the split projects only what `_in_flag` admits: SUBSPACE or EXPLICIT placements
+    return Placement.explicit(pl.coords[:n])

@@ -12,15 +12,16 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import numpy as np
 
 from ._version import __version__
 from .census import DEFAULT_BUDGET, census_for_doubles, quadric_rank
+from .collisions import collision1_check, indip_check, limit_multiplicity_check
 from .ffield import kernel_basis
-from .formulas import hs_sequences, k, plane_genus, r
+from .formulas import hs_sequences, k, plane_genus, r, verify_sequence_properties
 from .grammar import parse_spec, print_spec
 from .monomials import monomial_basis
 from .schemes import (
@@ -47,16 +48,7 @@ class CaseResult:
     elapsed: float
 
     def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "op": self.op,
-            "params": self.params,
-            "expected": self.expected,
-            "observed": self.observed,
-            "passed": self.passed,
-            "origin": self.origin,
-            "elapsed": round(self.elapsed, 3),
-        }
+        return {**asdict(self), "elapsed": round(self.elapsed, 3)}
 
 
 @dataclass(frozen=True)
@@ -102,13 +94,14 @@ def check_expected(expected: dict, observed: dict) -> bool:
 
     Plain values compare by equality. A value of the form {"ge": 0.95} applies
     the named comparison (eq, ne, ge, gt, le, lt, or in: membership in the
-    given list); when the observed value is a list, every element must
-    satisfy it, so an empty list satisfies every comparison.
+    given list); when the observed value is a list, or a dict, every element
+    or every value must satisfy it, so an empty one satisfies every comparison.
     """
     for key, want in expected.items():
         got = observed.get(key)
         if isinstance(want, dict) and want and all(op in _CHECKS for op in want):
-            vals = got if isinstance(got, (list, tuple)) else [got]
+            vals = (got.values() if isinstance(got, dict)
+                    else got if isinstance(got, (list, tuple)) else [got])
             for op, bound in want.items():
                 if not all(_CHECKS[op](v, bound) for v in vals):
                     return False
@@ -287,6 +280,33 @@ def _op_census(case, primes, seeds, budget) -> dict:
     }
 
 
+def _op_seq(case, primes, seeds, budget) -> dict:
+    t = hs_sequences(case["n"], case["d"])
+    return {"table": t.as_dict(), "properties": verify_sequence_properties(t)}
+
+
+def _op_merge(case, primes, seeds, budget) -> dict:
+    return asdict(collision1_check(case["n"], case["d"], primes[0], seeds[0]))
+
+
+def _op_chords(case, primes, seeds, budget) -> dict:
+    return asdict(indip_check(case["n"], primes[0], seeds[0]))
+
+
+def _op_limit(case, primes, seeds, budget) -> dict:
+    return asdict(limit_multiplicity_check(case["n"], case["d"], case["h"], primes[0], seeds[0]))
+
+
+def _op_castelnuovo(case, primes, seeds, budget) -> dict:
+    spec = parse_spec(case["spec"])
+    kernel, trace = castelnuovo_split(spec)
+    h0 = {}
+    for name, s in (("system", spec), ("kernel", kernel), ("trace", trace)):
+        h0[name] = dimension(s, primes, seeds).computed + 1
+    return {"kernel": kernel.to_dict(), "trace": trace.to_dict(), "h0": h0,
+            "subadditive": h0["system"] <= h0["kernel"] + h0["trace"]}
+
+
 _HANDLERS = {
     "dim": _op_dim,
     "ah": _op_ah,
@@ -296,39 +316,44 @@ _HANDLERS = {
     "cubic-flag": _op_cubic_flag,
     "genus": _op_genus,
     "census": _op_census,
+    "seq": _op_seq,
+    "merge": _op_merge,
+    "chords": _op_chords,
+    "limit": _op_limit,
+    "castelnuovo": _op_castelnuovo,
 }
 
 _META_KEYS = {"id", "op", "expected", "origin"}
 
 
+def run_case(case, primes, seeds, budget=None) -> CaseResult:
+    """Run one case's op at the given primes and seeds, and judge it by its `expected`."""
+    t0 = time.perf_counter()
+    observed = _HANDLERS[case["op"]](case, primes, seeds, budget)
+    elapsed = time.perf_counter() - t0
+    expected = case.get("expected", {})
+    return CaseResult(
+        id=case["id"],
+        op=case["op"],
+        params={k2: v for k2, v in case.items() if k2 not in _META_KEYS},
+        expected=expected,
+        observed=observed,
+        passed=check_expected(expected, observed),
+        origin=case.get("origin", "derived"),
+        elapsed=elapsed,
+    )
+
+
 def _run_cases(name, cases, primes, seeds, budget=None) -> SuiteResult:
     primes = tuple(int(p) for p in primes)
     seeds = tuple(int(s) for s in seeds)
-    out: list[CaseResult] = []
     t_suite = time.perf_counter()
-    for case in cases:
-        handler = _HANDLERS[case["op"]]
-        t0 = time.perf_counter()
-        observed = handler(case, primes, seeds, budget)
-        elapsed = time.perf_counter() - t0
-        expected = case.get("expected", {})
-        out.append(
-            CaseResult(
-                id=case["id"],
-                op=case["op"],
-                params={k2: v for k2, v in case.items() if k2 not in _META_KEYS},
-                expected=expected,
-                observed=observed,
-                passed=check_expected(expected, observed),
-                origin=case.get("origin", "derived"),
-                elapsed=elapsed,
-            )
-        )
+    out = tuple(run_case(case, primes, seeds, budget) for case in cases)
     return SuiteResult(
         name=name,
         primes=primes,
         seeds=seeds,
-        cases=tuple(out),
+        cases=out,
         elapsed=time.perf_counter() - t_suite,
     )
 
@@ -400,6 +425,9 @@ def run_suite(name: str, manifest: dict | None = None, budget: float | None = No
     if name == "ah":
         return run_ah_suite(manifest=manifest)
     conf = _Entry(f"suite {name!r}", manifest["suites"][name])
+    for index, case in enumerate(conf["cases"]):
+        if not isinstance(case, dict):
+            raise ValueError(f"{conf.where} case at index {index} is not an object: {case!r}")
     cases = [_Entry(f"{conf.where} case {case.get('id')!r}", case) for case in conf["cases"]]
     for case in cases:
         if case.get("op") not in _HANDLERS:
@@ -411,7 +439,10 @@ def run_suite(name: str, manifest: dict | None = None, budget: float | None = No
 
 def suite_names(manifest: dict | None = None) -> tuple[str, ...]:
     manifest = load_manifest() if manifest is None else manifest
-    return tuple(sorted(_Entry("the manifest", manifest)["suites"]))
+    names = tuple(sorted(_Entry("the manifest", manifest)["suites"]))
+    if not names:
+        raise ValueError("the manifest names no suite")
+    return names
 
 
 # ------------------------------------------------------------------- reports

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,9 @@ def test_dim_flag_overrides(capsys):
         ["identif", "--n", "2", "--d", "5", "--budget", "-1"],
         ["ah", "--n-max", "0"],
         ["ah", "--d-max", "1"],
+        ["dim", "L(2,4;2^5)", "--prime", "abc"],
+        ["dim", "L(2,4;2^5)", "--seed", "x"],
+        ["cremona", "L(2,2;2)", "--budget", "lots"],
     ],
 )
 def test_unread_option_is_usage_error(capsys, argv):
@@ -232,6 +236,21 @@ def test_cremona_reports_its_seed(capsys):
     assert payload["seeds"] == [0]
 
 
+def test_cremona_prime_disagreement_exit_1(capsys, monkeypatch):
+    real = fatpoints.cli.fiber_census
+
+    def fiber_census(m, budget):
+        c = real(m, budget)
+        return replace(c, verdict="birational") if m.prime == 11 else c
+
+    monkeypatch.setattr(fatpoints.cli, "fiber_census", fiber_census)
+    code, out, _ = run(capsys, ["cremona", "L(2,2;2)", "--prime", "7", "--prime", "11"])
+    assert code == 1
+    lines = out.splitlines()
+    assert "verdict=fiber-type" in lines[0] and "verdict=birational" in lines[1]
+    assert lines[2] == "PRIME DISAGREEMENT: birational, fiber-type"
+
+
 def test_cremona_defaults_to_the_census_primes(capsys):
     code, payload, _ = run_json(capsys, ["cremona", "L(2,2;2)"])
     assert code == 0
@@ -321,6 +340,19 @@ def test_collide_limit(capsys):
     assert "exactly a 6-fold point" in out
 
 
+@pytest.mark.parametrize(
+    "h,d,line",
+    [
+        ("7", "7", "limit (2,7,7): mu=6 lengths 21 vs 21 -> limit is exactly a 6-fold point"),
+        ("3", "3", "limit (2,3,3): mu=3 lengths 9 vs 6 -> limit strictly contains the 3-fold point"),
+    ],
+)
+def test_collide_limit_names_the_shape_of_the_limit(capsys, h, d, line):
+    code, out, _ = run(capsys, ["collide", "--op", "limit", "--n", "2", "--d", d, "--h", h])
+    assert code == 0
+    assert out == line + "\n"
+
+
 def test_collide_missing_args_exit_2(capsys):
     code, _, err = run(capsys, ["collide", "--op", "merge", "--n", "2"])
     assert code == 2
@@ -352,6 +384,26 @@ def test_suite_subcommand(capsys):
     code, _, err = run(capsys, ["suite", "bogus"])
     assert code == 2
     assert "unknown suite" in err
+
+
+def test_sequences_and_collisions_suites(capsys, tmp_path):
+    code, payload, _ = run_json(capsys, ["suite", "sequences", "collisions"])
+    assert code == 0
+    suites = payload["result"]["suites"]
+    assert [(s["suite"], len(s["cases"]), s["passed"]) for s in suites] == [
+        ("sequences", 35, True), ("collisions", 18, True)]
+    # one changed expected value fails that case, and the command
+    man = load_manifest()
+    for name, cid, key, value in [("sequences", "seq-5-4", "table", {"k": 20}),
+                                  ("collisions", "limit-2-7-7", "mu", 5)]:
+        conf = man["suites"][name]
+        cases = [dict(c, expected={**c["expected"], key: value}) if c["id"] == cid else c
+                 for c in conf["cases"]]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"suites": {name: {**conf, "cases": cases}}}))
+        code, out, _ = run(capsys, ["suite", "--manifest", str(path)])
+        assert code == 1
+        assert out.splitlines()[1:] == [f"  FAIL {cid}"]
 
 
 def test_suite_reads_the_manifest_budget(capsys, tmp_path):
@@ -411,6 +463,9 @@ MANIFEST_FAULTS = {
                    "suite 'extra' case 'bad' has unknown op 'nope'"),
     "missing parameter": ("suite", _genus_suite({"id": "bad", "op": "flag-dim", "d": 4}), 1,
                           "suite 'extra' case 'bad' has no 'n'"),
+    "no suite named": ("suite", {"suites": {}}, 1, "the manifest names no suite"),
+    "case not an object": ("suite", _genus_suite("oops"), 1,
+                           "suite 'extra' case at index 1 is not an object: 'oops'"),
 }
 
 

@@ -69,7 +69,6 @@ def test_limit_multiplicity_exact_cases():
     assert rep.doubles_dim == 14
     assert rep.fat_point_dim == 14
     assert rep.deeper_point_dim == 7
-    assert rep.summary == "limit is exactly a 6-fold point"
 
     rep = limit_multiplicity_check(3, 4, 5)
     assert (rep.mu, rep.double_length, rep.point_length) == (4, 20, 20)
@@ -85,4 +84,3 @@ def test_limit_multiplicity_strict_case():
     assert rep.doubles_dim == 0
     assert rep.fat_point_dim == 3  # the limit strictly contains the triple point
     assert rep.deeper_point_dim <= rep.doubles_dim
-    assert "strictly contains" in rep.summary

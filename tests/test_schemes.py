@@ -309,6 +309,16 @@ def test_castelnuovo_split_structure():
     assert all(p.placement.kind == "generic" for p in trace.points)
 
 
+def test_castelnuovo_split_projects_explicit_placements():
+    on_h = Placement.explicit((1, 2, 3, 0))
+    spec = SchemeSpec(3, 4, (FatPoint(on_h, 2, (Placement.explicit((0, 1, 1, 0)),)),))
+    kern, trace = castelnuovo_split(spec)
+    assert kern == SchemeSpec(3, 3, (FatPoint(on_h, 1),))
+    assert trace == SchemeSpec(
+        2, 4, (FatPoint(Placement.explicit((1, 2, 3)), 2, (Placement.explicit((0, 1, 1)),)),)
+    )
+
+
 def test_castelnuovo_split_guards():
     with pytest.raises(ValueError):
         castelnuovo_split(parse_spec("L(1,3;2)"))

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,10 +12,13 @@ from fatpoints.suites import (
     json_report,
     load_manifest,
     run_ah_suite,
+    run_case,
     run_prop23_suite,
     run_suite,
     suite_names,
 )
+
+PINNED_REPORT = Path(__file__).resolve().parent / "data" / "suite_report.json"
 
 
 def _without_elapsed(value):
@@ -28,10 +32,12 @@ def _without_elapsed(value):
 
 def test_manifest_loads_and_is_well_formed():
     man = load_manifest()
-    assert set(man["suites"]) == {"ah", "prop23", "section45", "theorem2"}
-    for name in ("prop23", "section45", "theorem2"):
+    assert set(man["suites"]) == {
+        "ah", "collisions", "prop23", "section45", "sequences", "theorem2"}
+    for name in ("collisions", "prop23", "section45", "sequences", "theorem2"):
         conf = man["suites"][name]
-        assert conf["seeds"]
+        # only a suite of `seq` cases, which read no seed, may name none
+        assert conf["seeds"] or all(case["op"] == "seq" for case in conf["cases"])
         for case in conf["cases"]:
             assert case["op"] in _HANDLERS
             assert "id" in case and "expected" in case
@@ -65,6 +71,10 @@ def test_check_expected_semantics():
     assert check_expected({"v": {"in": ["birational"]}}, {"v": []})
     # a plain dict value that is not an operator spec compares by equality
     assert check_expected({"x": {"kind": "generic"}}, {"x": {"kind": "generic"}})
+    # an operator spec on an observed dict applies to each of its values
+    assert check_expected({"x": {"eq": True}}, {"x": {"i": True, "ii": True}})
+    assert not check_expected({"x": {"eq": True}}, {"x": {"i": True, "ii": False}})
+    assert check_expected({"x": {"eq": True}}, {"x": {}})
 
 
 def test_flagged_system_shape():
@@ -136,8 +146,42 @@ def test_small_ah_grid():
     assert quadric.observed["special"] and quadric.observed["predicted"]
 
 
+def test_ah_suite_runs_through_run_suite(tmp_path):
+    man = load_manifest()
+    ah = {**man["suites"]["ah"], "grid": {"n_max": 1, "d_max": 2}}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"suites": {"ah": ah}}))
+    res = run_suite("ah", load_manifest(path))
+    assert res.passed and res.name == "ah"
+    assert [c.id for c in res.cases] == ["n1-d2-h1"]
+    assert res.primes == tuple(ah["primes"]) and res.seeds == tuple(ah["seeds"])
+
+
+def test_run_case_runs_one_case_of_an_op():
+    case = {"id": "limit-2-7-7", "op": "limit", "n": 2, "d": 7, "h": 7,
+            "expected": {"mu": 6, "exact": True}}
+    res = run_case(case, [32003], [0])
+    assert res.passed and res.id == "limit-2-7-7" and res.op == "limit"
+    assert res.params == {"n": 2, "d": 7, "h": 7}
+    assert res.origin == "derived"
+    assert res.observed["doubles_dim"] == res.observed["fat_point_dim"] == 14
+    assert not run_case({**case, "expected": {"mu": 5}}, [32003], [0]).passed
+
+
+def test_pinned_report_names_the_manifest_suites_and_cases():
+    # CI diffs `fatpoints suite --json` against the pinned file; this catches
+    # a manifest edit that leaves the file stale without running any suite
+    report = json.loads(PINNED_REPORT.read_text())["result"]
+    man = load_manifest()
+    assert [s["suite"] for s in report["suites"]] == sorted(man["suites"])
+    for suite in report["suites"]:
+        conf = man["suites"][suite["suite"]]
+        if "cases" in conf:
+            assert [c["id"] for c in suite["cases"]] == [c["id"] for c in conf["cases"]]
+
+
 def test_run_suite_dispatch():
-    assert suite_names() == ("ah", "prop23", "section45", "theorem2")
+    assert suite_names() == ("ah", "collisions", "prop23", "section45", "sequences", "theorem2")
     res = run_suite("prop23")
     assert res.name == "prop23"
     with pytest.raises(ValueError):
@@ -162,6 +206,16 @@ def test_unknown_op_is_refused_before_any_case_runs(monkeypatch):
     manifest = {"suites": {"extra": {"primes": [7], "seeds": [0], "cases": [
         good, {"id": "bad", "op": "nope"}]}}}
     with pytest.raises(ValueError, match="suite 'extra' case 'bad' has unknown op 'nope'"):
+        run_suite("extra", manifest)
+    assert ran == []
+
+
+def test_a_case_that_is_not_an_object_is_refused_before_any_case_runs(monkeypatch):
+    ran = []
+    monkeypatch.setitem(_HANDLERS, "genus", lambda case, *args: ran.append(case["id"]) or {})
+    good = {"id": "good", "op": "genus", "d": 2, "mults": [1]}
+    manifest = {"suites": {"extra": {"primes": [7], "seeds": [0], "cases": [good, "oops"]}}}
+    with pytest.raises(ValueError, match="suite 'extra' case at index 1 is not an object: 'oops'"):
         run_suite("extra", manifest)
     assert ran == []
 
