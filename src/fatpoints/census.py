@@ -299,6 +299,14 @@ class IdentifiabilityVerdict:
     s: int | None = None
     censuses: tuple[FiberCensus, ...] = ()
 
+    @property
+    def corroborated(self) -> bool | None:
+        """Whether every census verdict backs the status; None when no census ran."""
+        if not self.censuses:
+            return None
+        backing = _CORROBORATING[self.status]
+        return all(c.verdict.partition("(")[0] in backing for c in self.censuses)
+
     def as_dict(self) -> dict:
         return {
             "n": self.n,
@@ -306,11 +314,19 @@ class IdentifiabilityVerdict:
             "status": self.status,
             "s": self.s,
             "censuses": [c.as_dict() for c in self.censuses],
+            "corroborated": self.corroborated,
         }
 
 
 # the complete list of identifiable perfect pairs: (1, 2k-1) for all k, plus
 IDENTIFIABLE_SPORADIC = {(3, 3), (2, 5)}
+
+# the census verdicts that corroborate each status of a perfect pair (a
+# non-perfect one runs no census); finite(k) is read as finite
+_CORROBORATING = {
+    "identifiable": {"birational"},
+    "not-identifiable": {"fiber-type", "finite"},
+}
 
 
 def identifiability_verdict(

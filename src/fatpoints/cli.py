@@ -30,7 +30,6 @@ from .suites import (
     csv_summary,
     json_report,
     load_manifest,
-    run_ah_suite,
     run_case,
     run_suite,
     suite_names,
@@ -122,11 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("dim", "computed vs expected dimension", "primes", "seeds")
     sp.add_argument("spec", nargs="+", help='system string, e.g. "L(2,4;2^5)"')
 
-    sp = command("ah", "double-point speciality grid", "csv")
-    sp.add_argument("--n-max", type=int, help="largest n (default: the manifest's)")
-    sp.add_argument("--d-max", type=int, help="largest d (default: the manifest's)")
-    sp.add_argument("--manifest", help="alternate manifest path")
-
     sp = command("seq", "multiplicity count tables and their checks")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
@@ -157,18 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _manifest(path, names):
-    """The manifest at path (by default the packaged one); it must hold the named suites."""
-    try:
-        manifest = load_manifest(path)
-    except OSError as exc:
-        raise UsageError(f"cannot read manifest {path}: {exc.strerror}") from None
-    unknown = [nm for nm in names if nm not in suite_names(manifest)]
-    if unknown:
-        raise UsageError(f"unknown suite(s): {', '.join(unknown)}")
-    return manifest
-
-
 def _cmd_dim(args):
     cases = []
     lines = []
@@ -192,28 +174,6 @@ def _cmd_dim(args):
         "lines": lines,
         "primes": args.primes,
         "seeds": args.seeds,
-    }
-
-
-def _summary(res, label, tail=""):
-    """A suite's pass count, then one line per failed case."""
-    ok = len(res.cases) - len(res.failures)
-    return [f"{label}: {ok}/{len(res.cases)} passed{tail}",
-            *(f"  FAIL {cid}" for cid in res.failures)]
-
-
-def _cmd_ah(args):
-    res = run_ah_suite(args.n_max, args.d_max, manifest=_manifest(args.manifest, ["ah"]))
-    if not res.cases:
-        raise UsageError("the ah grid has no case up to this --n-max and --d-max")
-    return {
-        "result": {"passed": res.passed, "failures": list(res.failures)},
-        "cases": [c.as_dict() for c in res.cases],
-        "expected": {"passed": True},
-        "lines": _summary(res, "ah grid"),
-        "csv": csv_summary([res]),
-        "primes": res.primes,
-        "seeds": res.seeds,
     }
 
 
@@ -255,37 +215,28 @@ def _cmd_cremona(args):
         "result": cases[0]["result"],
         "cases": cases,
         # every prime passes, and all give one verdict
-        "observed": {"passed": [c["passed"] for c in cases], "verdict": verdicts},
-        "expected": {"passed": {"eq": True}, "verdict": {"eq": verdicts[0]}},
+        "observed": {"passed": [c["passed"] for c in cases], "agree": len(set(verdicts)) == 1},
+        "expected": {"passed": {"eq": True}, "agree": True},
         "lines": lines,
         "primes": primes,
         "seeds": [args.seed],
     }
 
 
-# the census verdicts that corroborate each status; finite(k) is read as finite
-_CORROBORATING = {
-    "identifiable": {"verdict": {"in": ["birational"]}},
-    "not-identifiable": {"verdict": {"in": ["fiber-type", "finite"]}},
-    "non-perfect": {},
-}
-
-
 def _cmd_identif(args):
     v = identifiability_verdict(
         args.n, args.d, corroborate=not args.no_census, budget=args.budget
     )
-    kinds = [c.verdict.partition("(")[0] for c in v.censuses]
-    corroborated = check_expected(_CORROBORATING[v.status], {"verdict": kinds})
     tail = f", s = {v.s}" if v.s is not None else ""
     lines = [f"({args.n},{args.d}): {v.status}{tail}"]
     for c in v.censuses:
         lines.append(f"  census p={c.prime}: {c.verdict} "
                      f"(fraction_unique={c.fraction_unique:.6f})")
     return {
-        "result": {**v.as_dict(), "corroborated": corroborated},
+        "result": v.as_dict(),
         "cases": [c.as_dict() for c in v.censuses],
-        "expected": {"corroborated": True},
+        # no census, nothing checked: corroborated is None and passes
+        "expected": {"corroborated": {"ne": False}},
         "lines": lines,
         # identifiability_verdict runs its censuses at seed 0
         "primes": [c.prime for c in v.censuses],
@@ -301,7 +252,8 @@ _COLLIDE = {
     "chords": ((), {"independent": True, "all_triples_collinear": True},
                "chords n={n}: rank={quadric_rank}/{points} "
                "collinear_triples={all_triples_collinear}"),
-    "limit": (("d", "h"), {}, "limit ({n},{d},{h}): mu={mu} lengths {double_length} vs "
+    "limit": (("d", "h"), {"within_bounds": True},
+              "limit ({n},{d},{h}): mu={mu} lengths {double_length} vs "
               "{point_length} -> limit {shape} {mu}-fold point"),
 }
 
@@ -317,11 +269,6 @@ def _cmd_collide(args):
     case = {"id": args.op, "op": args.op, "n": args.n,
             **{key: getattr(args, key) for key in reads}, "expected": expected}
     rep = run_case(case, [args.prime], [args.seed]).observed
-    if args.op == "limit":
-        # the limit's bounds compare two observed values, so they follow the run
-        expected = {"deeper_point_dim": {"le": rep["doubles_dim"]}}
-        if rep["exact"]:
-            expected["fat_point_dim"] = rep["doubles_dim"]
     shape = "is exactly a" if rep.get("exact") else "strictly contains the"
     return {"result": rep, "expected": expected, "lines": [line.format(**rep, shape=shape)],
             "primes": [args.prime], "seeds": [args.seed]}
@@ -337,16 +284,29 @@ def _cmd_castelnuovo(args):
             "primes": args.primes, "seeds": args.seeds}
 
 
+def _summary(res):
+    """A suite's pass count and run time, then one line per failed case."""
+    ok = len(res.cases) - len(res.failures)
+    return [f"{res.name}: {ok}/{len(res.cases)} passed ({res.elapsed:.1f}s)",
+            *(f"  FAIL {cid}" for cid in res.failures)]
+
+
 def _cmd_suite(args):
-    manifest = _manifest(args.manifest, args.names)
+    # the manifest at --manifest (by default the packaged one); it must hold the named suites
+    try:
+        manifest = load_manifest(args.manifest)
+    except OSError as exc:
+        raise UsageError(f"cannot read manifest {args.manifest}: {exc.strerror}") from None
+    unknown = [nm for nm in args.names if nm not in suite_names(manifest)]
+    if unknown:
+        raise UsageError(f"unknown suite(s): {', '.join(unknown)}")
     names = args.names or suite_names(manifest)
     results = [run_suite(nm, manifest, args.suite_budget) for nm in names]
     report = json_report(results)
     return {
         "result": report,
         "expected": {"passed": True},
-        "lines": [line for res in results
-                  for line in _summary(res, res.name, f" ({res.elapsed:.1f}s)")],
+        "lines": [line for res in results for line in _summary(res)],
         "csv": csv_summary(results),
         # dict keys keep run order and drop repeats
         "primes": list(dict.fromkeys(p for res in results for p in res.primes)),
@@ -356,7 +316,6 @@ def _cmd_suite(args):
 
 _COMMANDS = {
     "dim": _cmd_dim,
-    "ah": _cmd_ah,
     "seq": _cmd_seq,
     "cremona": _cmd_cremona,
     "identif": _cmd_identif,

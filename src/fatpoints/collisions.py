@@ -169,6 +169,7 @@ class LimitMultiplicityReport:
     doubles_dim: int
     fat_point_dim: int
     deeper_point_dim: int  # (mu+1)-fold point
+    within_bounds: bool  # deeper_point_dim <= doubles_dim, fat_point_dim == doubles_dim if exact
 
 
 def limit_multiplicity_check(
@@ -183,7 +184,8 @@ def limit_multiplicity_check(
     mu is the predicted limit multiplicity. The limit is exactly a mu-fold
     point when the lengths match: h(n+1) = binom(n+mu-1, n); otherwise it
     strictly contains one. Flat limits can only grow linear systems, so the
-    (mu+1)-fold system never exceeds the generic double-point system.
+    (mu+1)-fold system never exceeds the generic double-point system, and an
+    exact limit's system is the double-point one: `within_bounds` says both hold.
     """
     mu = collision_limit_degree(n, h)
     double_len = h * (n + 1)
@@ -195,7 +197,8 @@ def limit_multiplicity_check(
             SchemeSpec(n, d, (FatPoint(Placement.generic(), m),)), (prime,), (seed,)
         )
 
-    doubles = dimension(double_points(n, d, h), (prime,), (seed,))
+    doubles = dimension(double_points(n, d, h), (prime,), (seed,)).computed
+    fat, deeper = one_point(mu).computed, one_point(mu + 1).computed
     return LimitMultiplicityReport(
         n=n,
         d=d,
@@ -204,7 +207,8 @@ def limit_multiplicity_check(
         double_length=double_len,
         point_length=point_len,
         exact=exact,
-        doubles_dim=doubles.computed,
-        fat_point_dim=one_point(mu).computed,
-        deeper_point_dim=one_point(mu + 1).computed,
+        doubles_dim=doubles,
+        fat_point_dim=fat,
+        deeper_point_dim=deeper,
+        within_bounds=deeper <= doubles and (fat == doubles or not exact),
     )

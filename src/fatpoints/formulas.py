@@ -116,7 +116,7 @@ def plane_row(d: int) -> tuple[int, int]:
 
 
 def verify_sequence_properties(t: SequenceTable) -> dict[str, bool]:
-    """Literal evaluation of the six clauses plus the row identity.
+    """Literal evaluation of the six clauses, the row identity and the plane row.
 
     The top-row h-difference bound uses (d-1)/(n(n+1)) * binom(n+d-1, n-1) - 3;
     the displayed variant with denominator (n+2)(n+1) on binom(n+d,n) fails on
@@ -158,6 +158,7 @@ def verify_sequence_properties(t: SequenceTable) -> dict[str, bool]:
     out["row_identity"] = all(
         i * h[i - 1] + s[i - 1] == t.a[i] for i in range(3, n + 1)
     )
+    out["plane_row"] = (h[2], s[2]) == plane_row(d)  # the shared rows are n-independent
     return out
 
 

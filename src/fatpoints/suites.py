@@ -18,7 +18,7 @@ from importlib import resources
 import numpy as np
 
 from ._version import __version__
-from .census import DEFAULT_BUDGET, census_for_doubles, quadric_rank
+from .census import DEFAULT_BUDGET, census_for_doubles, identifiability_verdict, quadric_rank
 from .collisions import collision1_check, indip_check, limit_multiplicity_check
 from .ffield import kernel_basis
 from .formulas import hs_sequences, k, plane_genus, r, verify_sequence_properties
@@ -111,18 +111,27 @@ def check_expected(expected: dict, observed: dict) -> bool:
 
 
 class _Entry(dict):
-    """A manifest entry; reading a key it lacks is a manifest fault that names it.
+    """A manifest entry, which must be a JSON object; reading a key it lacks,
+    or a list key that holds no list, is a manifest fault that names it.
 
     Only lookups on the entry itself are caught, so a KeyError raised inside
     a computation stays a KeyError.
     """
 
     def __init__(self, where: str, entry: dict):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} is not an object: {entry!r}")
         super().__init__(entry)
         self.where = where
 
     def __missing__(self, key):
         raise ValueError(f"{self.where} has no {key!r}")
+
+    def listed(self, key: str) -> list:
+        """The value of key, which must be a list."""
+        if not isinstance(self[key], list):
+            raise ValueError(f"{self.where} has {key!r} {self[key]!r}, not a list")
+        return self[key]
 
 
 def load_manifest(path=None) -> dict:
@@ -280,6 +289,12 @@ def _op_census(case, primes, seeds, budget) -> dict:
     }
 
 
+def _op_identif(case, primes, seeds, budget) -> dict:
+    v = identifiability_verdict(case["n"], case["d"], budget=budget)
+    return {"status": v.status, "s": v.s, "verdicts": [c.verdict for c in v.censuses],
+            "corroborated": v.corroborated}
+
+
 def _op_seq(case, primes, seeds, budget) -> dict:
     t = hs_sequences(case["n"], case["d"])
     return {"table": t.as_dict(), "properties": verify_sequence_properties(t)}
@@ -316,6 +331,7 @@ _HANDLERS = {
     "cubic-flag": _op_cubic_flag,
     "genus": _op_genus,
     "census": _op_census,
+    "identif": _op_identif,
     "seq": _op_seq,
     "merge": _op_merge,
     "chords": _op_chords,
@@ -345,6 +361,8 @@ def run_case(case, primes, seeds, budget=None) -> CaseResult:
 
 
 def _run_cases(name, cases, primes, seeds, budget=None) -> SuiteResult:
+    if not cases:
+        raise ValueError(f"suite {name!r} has no case")
     primes = tuple(int(p) for p in primes)
     seeds = tuple(int(s) for s in seeds)
     t_suite = time.perf_counter()
@@ -398,7 +416,7 @@ def run_ah_suite(
         for n, d, h in sorted(sporadic - set(on_grid))
         if n <= n_max and d <= d_max
     ]
-    return _run_cases("ah", cases, conf["primes"], conf["seeds"])
+    return _run_cases("ah", cases, conf.listed("primes"), conf.listed("seeds"))
 
 
 def run_prop23_suite(manifest: dict | None = None) -> SuiteResult:
@@ -418,6 +436,7 @@ def run_suite(name: str, manifest: dict | None = None, budget: float | None = No
     runs its `cases` at its `primes`, or, when it names none, at the sorted
     union of its cases' `primes`. Every suite runs at its `seeds`; census
     cases run at `budget`, else at the suite's `budget`, else DEFAULT_BUDGET.
+    A suite with no case is refused, so it cannot pass vacuously.
     """
     manifest = load_manifest() if manifest is None else manifest
     if name not in suite_names(manifest):
@@ -425,21 +444,22 @@ def run_suite(name: str, manifest: dict | None = None, budget: float | None = No
     if name == "ah":
         return run_ah_suite(manifest=manifest)
     conf = _Entry(f"suite {name!r}", manifest["suites"][name])
-    for index, case in enumerate(conf["cases"]):
-        if not isinstance(case, dict):
-            raise ValueError(f"{conf.where} case at index {index} is not an object: {case!r}")
-    cases = [_Entry(f"{conf.where} case {case.get('id')!r}", case) for case in conf["cases"]]
+    cases = [_Entry(f"{conf.where} case at index {index}", case)
+             for index, case in enumerate(conf.listed("cases"))]
     for case in cases:
+        case.where = f"{conf.where} case {case.get('id')!r}"
         if case.get("op") not in _HANDLERS:
             raise ValueError(f"{case.where} has unknown op {case.get('op')!r}")
-    primes = conf["primes"] if "primes" in conf else sorted({p for c in cases for p in c["primes"]})
+    primes = (conf.listed("primes") if "primes" in conf
+              else sorted({p for c in cases for p in c["primes"]}))
     budget = conf.get("budget", DEFAULT_BUDGET) if budget is None else budget
-    return _run_cases(name, cases, primes, conf["seeds"], budget)
+    return _run_cases(name, cases, primes, conf.listed("seeds"), budget)
 
 
 def suite_names(manifest: dict | None = None) -> tuple[str, ...]:
     manifest = load_manifest() if manifest is None else manifest
-    names = tuple(sorted(_Entry("the manifest", manifest)["suites"]))
+    suites = _Entry("the manifest", manifest)["suites"]
+    names = tuple(sorted(_Entry("the manifest's 'suites'", suites)))
     if not names:
         raise ValueError("the manifest names no suite")
     return names

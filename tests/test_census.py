@@ -15,6 +15,7 @@ from fatpoints import census
 from fatpoints.census import (
     CENSUS_PRIMES,
     FiberCensus,
+    IdentifiabilityVerdict,
     RationalMap,
     census_for_doubles,
     classify,
@@ -359,7 +360,23 @@ def test_identifiability_respects_budget():
     assert v.status == "identifiable"
     assert v.censuses == ()  # all runs over budget are skipped
     d = v.as_dict()
-    assert set(d) == {"n", "d", "status", "s", "censuses"}
+    assert set(d) == {"n", "d", "status", "s", "censuses", "corroborated"}
+    assert d["corroborated"] is None  # no census ran, so nothing is corroborated
+
+
+@pytest.mark.parametrize(
+    "status,verdicts,corroborated",
+    [
+        ("identifiable", ["birational", "birational"], True),
+        ("identifiable", ["birational", "fiber-type"], False),
+        ("not-identifiable", ["fiber-type", "finite(2)"], True),
+        ("not-identifiable", ["inconclusive"], False),
+        ("not-identifiable", [], None),
+    ],
+)
+def test_corroborated_reads_the_census_verdicts(status, verdicts, corroborated):
+    censuses = tuple(FiberCensus(499, 0, 0, 0, {}, 0.0, verdict) for verdict in verdicts)
+    assert IdentifiabilityVerdict(2, 4, status, 5, censuses).corroborated is corroborated
 
 
 def test_census_primes_table():

@@ -9,7 +9,7 @@ import pytest
 
 import fatpoints
 from fatpoints.cli import main
-from fatpoints.suites import load_manifest
+from fatpoints.suites import load_manifest, run_suite
 
 PAYLOAD_KEYS = {
     "tool_version",
@@ -84,7 +84,7 @@ def test_dim_flag_overrides(capsys):
         ["seq", "--n", "2", "--d", "4", "--prime", "7"],
         ["suite", "prop23", "--prime", "7"],
         ["identif", "--n", "2", "--d", "5", "--seed", "3"],
-        ["ah", "--budget", "1"],
+        ["suite", "ah", "--seed", "1"],
         ["dim", "L(3,3;2^4)", "--trials", "2"],
         ["dim", "L(3,3;2^4)", "--primes", "32003,65521"],
         ["castelnuovo", "L(3,4;3@H2,2^3)", "--seeds", "0,1"],
@@ -102,8 +102,8 @@ def test_dim_flag_overrides(capsys):
         ["suite", "theorem2", "--budget", "nan"],
         ["cremona", "L(2,2;2)", "--budget", "0"],
         ["identif", "--n", "2", "--d", "5", "--budget", "-1"],
-        ["ah", "--n-max", "0"],
-        ["ah", "--d-max", "1"],
+        ["suite", "ah", "--n-max", "0"],
+        ["suite", "ah", "--d-max", "1"],
         ["dim", "L(2,4;2^5)", "--prime", "abc"],
         ["dim", "L(2,4;2^5)", "--seed", "x"],
         ["cremona", "L(2,2;2)", "--budget", "lots"],
@@ -211,16 +211,26 @@ def test_allocation_failure_exit_1(capsys, monkeypatch):
     assert payload["error"].startswith("Unable to allocate 5.31 GiB")
 
 
-def test_ah_small_grid(capsys):
-    code, out, _ = run(capsys, ["ah", "--n-max", "2", "--d-max", "3"])
-    assert code == 0
-    assert "8/8 passed" in out
+def _small_ah_manifest(tmp_path):
+    """A manifest whose one suite is the ah grid up to n 2 and d 3."""
+    ah = load_manifest()["suites"]["ah"]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"suites": {"ah": {**ah, "grid": {"n_max": 2, "d_max": 3}}}}))
+    return str(path)
 
 
-def test_ah_csv_output(capsys):
-    code, out, _ = run(capsys, ["ah", "--n-max", "2", "--d-max", "3", "--csv"])
+def test_ah_small_grid(capsys, tmp_path):
+    code, out, _ = run(capsys, ["suite", "ah", "--manifest", _small_ah_manifest(tmp_path)])
     assert code == 0
-    assert out.splitlines()[0] == "suite,case,op,passed,expected,observed,origin"
+    assert out.startswith("ah: 8/8 passed")
+
+
+def test_ah_csv_output(capsys, tmp_path):
+    code, out, _ = run(capsys, ["suite", "ah", "--manifest", _small_ah_manifest(tmp_path), "--csv"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "suite,case,op,passed,expected,observed,origin"
+    assert len(lines) == 1 + 8 and all(line.startswith("ah,n") for line in lines[1:])
 
 
 def test_cremona_fiber_type(capsys):
@@ -296,7 +306,8 @@ def test_identif_budget_skips_census(capsys):
     assert code == 0
     assert payload["result"]["status"] == "identifiable"
     assert payload["result"]["censuses"] == []
-    assert payload["result"]["corroborated"] is True
+    # no census ran, so nothing corroborates the status, and nothing fails it
+    assert payload["result"]["corroborated"] is None
     assert payload["primes"] == [] and payload["seeds"] == []
 
 
@@ -353,6 +364,23 @@ def test_collide_limit_names_the_shape_of_the_limit(capsys, h, d, line):
     assert out == line + "\n"
 
 
+def test_limit_bounds_are_judged_by_the_command_and_the_suite(capsys, monkeypatch):
+    real = fatpoints.collisions.dimension
+
+    def dimension(spec, primes, seeds):
+        # the 7-fold point of limit (2,7,7) reads above the 14 of its double points
+        rep = real(spec, primes, seeds)
+        return replace(rep, computed=99) if [p.multiplicity for p in spec.points] == [7] else rep
+
+    monkeypatch.setattr(fatpoints.collisions, "dimension", dimension)
+    code, payload, _ = run_json(capsys, ["collide", "--op", "limit", "--n", "2", "--d", "7", "--h", "7"])
+    assert code == 1
+    assert payload["result"]["deeper_point_dim"] == 99 > payload["result"]["doubles_dim"]
+    assert payload["result"]["within_bounds"] is False
+    res = run_suite("collisions")
+    assert res.failures == ("limit-2-7-7",)
+
+
 def test_collide_missing_args_exit_2(capsys):
     code, _, err = run(capsys, ["collide", "--op", "merge", "--n", "2"])
     assert code == 2
@@ -406,6 +434,45 @@ def test_sequences_and_collisions_suites(capsys, tmp_path):
         assert out.splitlines()[1:] == [f"  FAIL {cid}"]
 
 
+def _identifiability_slice(tmp_path, **change):
+    """A manifest holding the identifiability cases that stay cheap: (1, d),
+    (2,5) and the non-perfect pairs; `change` overrides suite keys."""
+    conf = load_manifest()["suites"]["identifiability"]
+    cases = [c for c in conf["cases"]
+             if c["n"] == 1 or c["id"] == "identif-2-5" or c["expected"]["status"] == "non-perfect"]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"suites": {"identifiability": {**conf, "cases": cases, **change}}}))
+    return str(path), cases
+
+
+def test_identifiability_suite_slice(capsys, tmp_path):
+    path, cases = _identifiability_slice(tmp_path)
+    assert len(cases) == 9
+    code, payload, _ = run_json(capsys, ["suite", "--manifest", path])
+    assert code == 0
+    observed = {c["id"]: c["observed"] for c in payload["result"]["suites"][0]["cases"]}
+    assert observed["identif-2-5"] == {"status": "identifiable", "s": 7, "corroborated": True,
+                                       "verdicts": ["birational", "birational"]}
+    assert observed["identif-2-6"] == {"status": "non-perfect", "s": None, "corroborated": None,
+                                       "verdicts": []}
+    # one changed expected value fails that case, and the command
+    broken = [dict(c, expected={**c["expected"], "s": 6}) if c["id"] == "identif-2-5" else c
+              for c in cases]
+    path, _ = _identifiability_slice(tmp_path, cases=broken)
+    code, out, _ = run(capsys, ["suite", "--manifest", path])
+    assert code == 1
+    assert out.splitlines()[1:] == ["  FAIL identif-2-5"]
+
+
+def test_identifiability_suite_fails_when_no_census_runs(capsys, tmp_path):
+    # a census the budget refuses leaves no verdict: the perfect pairs fail
+    path, cases = _identifiability_slice(tmp_path, budget=10)
+    code, out, _ = run(capsys, ["suite", "--manifest", path])
+    assert code == 1
+    assert out.splitlines()[1:] == [f"  FAIL {c['id']}" for c in cases
+                                    if c["expected"]["status"] != "non-perfect"]
+
+
 def test_suite_reads_the_manifest_budget(capsys, tmp_path):
     manifest = {"suites": {"theorem2": {"seeds": [0], "budget": 1, "cases": [
         {"id": "pencil", "op": "census", "n": 1, "d": 3, "h": 1, "primes": [499],
@@ -453,30 +520,51 @@ def _genus_suite(*cases):
     ]}}}
 
 
-# (subcommand, manifest written to the tmp path or None for a missing file,
-#  exit code, a phrase of the error line)
+def _extra_suite(**change):
+    """_genus_suite() with the given keys of its suite replaced."""
+    manifest = _genus_suite()
+    manifest["suites"]["extra"].update(change)
+    return manifest
+
+
+# (suites named after `suite`, manifest written to the tmp path or None for a
+#  missing file, exit code, a phrase of the error line)
 MANIFEST_FAULTS = {
-    "no suites": ("suite", {}, 1, "the manifest has no 'suites'"),
-    "no ah suite": ("ah", _genus_suite(), 2, "unknown suite(s): ah"),
-    "missing file": ("suite", None, 2, "No such file or directory"),
-    "unknown op": ("suite", _genus_suite({"id": "bad", "op": "nope"}), 1,
+    "no suites": ([], {}, 1, "the manifest has no 'suites'"),
+    "no ah suite": (["ah"], _genus_suite(), 2, "unknown suite(s): ah"),
+    "missing file": ([], None, 2, "No such file or directory"),
+    "unknown op": ([], _genus_suite({"id": "bad", "op": "nope"}), 1,
                    "suite 'extra' case 'bad' has unknown op 'nope'"),
-    "missing parameter": ("suite", _genus_suite({"id": "bad", "op": "flag-dim", "d": 4}), 1,
+    "missing parameter": ([], _genus_suite({"id": "bad", "op": "flag-dim", "d": 4}), 1,
                           "suite 'extra' case 'bad' has no 'n'"),
-    "no suite named": ("suite", {"suites": {}}, 1, "the manifest names no suite"),
-    "case not an object": ("suite", _genus_suite("oops"), 1,
+    "no suite named": ([], {"suites": {}}, 1, "the manifest names no suite"),
+    "case not an object": ([], _genus_suite("oops"), 1,
                            "suite 'extra' case at index 1 is not an object: 'oops'"),
+    "manifest not an object": ([], [1], 1, "the manifest is not an object: [1]"),
+    "suites not an object": ([], {"suites": ["x"]}, 1,
+                             "the manifest's 'suites' is not an object: ['x']"),
+    "suite not an object": ([], {"suites": {"x": 5}}, 1, "suite 'x' is not an object: 5"),
+    "cases not a list": ([], _extra_suite(cases=5), 1, "suite 'extra' has 'cases' 5, not a list"),
+    "cases a string": ([], _extra_suite(cases="ab"), 1,
+                       "suite 'extra' has 'cases' 'ab', not a list"),
+    "primes not a list": ([], _extra_suite(primes=7), 1,
+                          "suite 'extra' has 'primes' 7, not a list"),
+    "seeds not a list": ([], _extra_suite(seeds=0), 1, "suite 'extra' has 'seeds' 0, not a list"),
+    "no case": ([], _extra_suite(cases=[]), 1, "suite 'extra' has no case"),
+    "empty ah grid": (["ah"], {"suites": {"ah": {"primes": [32003], "seeds": [0], "sporadics": [],
+                                                 "grid": {"n_max": 0, "d_max": 3}}}}, 1,
+                      "suite 'ah' has no case"),
 }
 
 
 @pytest.mark.parametrize("fault", MANIFEST_FAULTS)
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_manifest_fault_is_one_error_line(capsys, tmp_path, fault, as_json):
-    cmd, manifest, want_code, phrase = MANIFEST_FAULTS[fault]
+    names, manifest, want_code, phrase = MANIFEST_FAULTS[fault]
     path = tmp_path / "manifest.json"
     if manifest is not None:
         path.write_text(json.dumps(manifest))
-    argv = [cmd, "--manifest", str(path), *(["--json"] if as_json else [])]
+    argv = ["suite", *names, "--manifest", str(path), *(["--json"] if as_json else [])]
     code, out, err = run(capsys, argv)
     assert code == want_code
     assert "Traceback" not in out + err
@@ -491,6 +579,8 @@ def test_manifest_fault_is_one_error_line(capsys, tmp_path, fault, as_json):
 
 def test_argparse_exits():
     assert main([]) == 2
+    # the grid runs as `suite ah`; there is no `ah` subcommand
+    assert main(["ah"]) == 2
     assert main(["--version"]) == 0
     assert main(["dim", "L(2,3;2)", "--no-such-flag"]) == 2
 

@@ -28,9 +28,6 @@ MATRIX = [
     ["dim", "L(2,4;2^5)", "L(3,3;2^4)", "--json"],
     ["dim", "L(3,3;2^4)", "--prime", "32003", "--prime", "65521", "--seed", "0", "--seed", "1",
      "--json"],
-    ["ah", "--n-max", "2", "--d-max", "3"],
-    ["ah", "--n-max", "2", "--d-max", "3", "--json"],
-    ["ah", "--n-max", "2", "--d-max", "3", "--csv"],
     ["seq", "--n", "5", "--d", "4"],
     ["seq", "--n", "5", "--d", "4", "--json"],
     ["seq", "--n", "7", "--d", "4"],

@@ -69,6 +69,7 @@ def test_limit_multiplicity_exact_cases():
     assert rep.doubles_dim == 14
     assert rep.fat_point_dim == 14
     assert rep.deeper_point_dim == 7
+    assert rep.within_bounds
 
     rep = limit_multiplicity_check(3, 4, 5)
     assert (rep.mu, rep.double_length, rep.point_length) == (4, 20, 20)
@@ -84,3 +85,4 @@ def test_limit_multiplicity_strict_case():
     assert rep.doubles_dim == 0
     assert rep.fat_point_dim == 3  # the limit strictly contains the triple point
     assert rep.deeper_point_dim <= rep.doubles_dim
+    assert rep.within_bounds

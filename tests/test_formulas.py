@@ -103,7 +103,7 @@ def test_all_clauses_on_the_perfect_grid():
     for n, d in grid:
         t = hs_sequences(n, d)
         props = verify_sequence_properties(t)
-        assert set(props) == {"i", "ii", "iii", "iv", "v", "vi", "row_identity"}
+        assert set(props) == {"i", "ii", "iii", "iv", "v", "vi", "row_identity", "plane_row"}
         bad = [name for name, ok in props.items() if not ok]
         assert not bad, f"({n},{d}) violates {bad}"
 
@@ -114,6 +114,7 @@ def test_clause_check_rejects_mutated_table():
     h[2] += 3
     broken = SequenceTable(n=t.n, d=t.d, k=t.k, h=h, s=dict(t.s), a=dict(t.a))
     assert not verify_sequence_properties(broken)["row_identity"]
+    assert not verify_sequence_properties(broken)["plane_row"]
 
 
 def test_plane_row_values():

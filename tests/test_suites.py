@@ -33,11 +33,11 @@ def _without_elapsed(value):
 def test_manifest_loads_and_is_well_formed():
     man = load_manifest()
     assert set(man["suites"]) == {
-        "ah", "collisions", "prop23", "section45", "sequences", "theorem2"}
-    for name in ("collisions", "prop23", "section45", "sequences", "theorem2"):
+        "ah", "collisions", "identifiability", "prop23", "section45", "sequences", "theorem2"}
+    for name in ("collisions", "identifiability", "prop23", "section45", "sequences", "theorem2"):
         conf = man["suites"][name]
-        # only a suite of `seq` cases, which read no seed, may name none
-        assert conf["seeds"] or all(case["op"] == "seq" for case in conf["cases"])
+        # only a suite whose ops read no seed (`seq`, `identif`) may name none
+        assert conf["seeds"] or all(case["op"] in ("seq", "identif") for case in conf["cases"])
         for case in conf["cases"]:
             assert case["op"] in _HANDLERS
             assert "id" in case and "expected" in case
@@ -165,6 +165,7 @@ def test_run_case_runs_one_case_of_an_op():
     assert res.params == {"n": 2, "d": 7, "h": 7}
     assert res.origin == "derived"
     assert res.observed["doubles_dim"] == res.observed["fat_point_dim"] == 14
+    assert res.observed["within_bounds"] is True
     assert not run_case({**case, "expected": {"mu": 5}}, [32003], [0]).passed
 
 
@@ -181,7 +182,8 @@ def test_pinned_report_names_the_manifest_suites_and_cases():
 
 
 def test_run_suite_dispatch():
-    assert suite_names() == ("ah", "collisions", "prop23", "section45", "sequences", "theorem2")
+    assert suite_names() == (
+        "ah", "collisions", "identifiability", "prop23", "section45", "sequences", "theorem2")
     res = run_suite("prop23")
     assert res.name == "prop23"
     with pytest.raises(ValueError):
