@@ -307,16 +307,6 @@ class IdentifiabilityVerdict:
         backing = _CORROBORATING[self.status]
         return all(c.verdict.partition("(")[0] in backing for c in self.censuses)
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "status": self.status,
-            "s": self.s,
-            "censuses": [c.as_dict() for c in self.censuses],
-            "corroborated": self.corroborated,
-        }
-
 
 # the complete list of identifiable perfect pairs: (1, 2k-1) for all k, plus
 IDENTIFIABLE_SPORADIC = {(3, 3), (2, 5)}

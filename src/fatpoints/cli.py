@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands compute dimensions of fat-point systems, run the reproduction
-suites, classify self-maps by fiber census, and exercise the degeneration
-checks. Exit status: 0 when every reported check passes, 1 when any fails,
-2 on usage or spec-language errors.
+Every subcommand is a one-suite run: it builds its cases (op, parameters and
+expected values) and runs them with `suites.run_cases`; `suite` runs the
+manifest's suites. The report is the suite report under `--json`, else each
+case's observed values (for `suite`, its pass counts). Exit status: 0 when
+every suite passes, 1 when a case fails or a computation is refused, 2 on
+usage or spec-language errors.
 """
 
 from __future__ import annotations
@@ -15,25 +17,11 @@ import sys
 import time
 
 from ._version import __version__
-from .census import (
-    CENSUS_PRIMES,
-    DEFAULT_BUDGET,
-    fiber_census,
-    identifiability_verdict,
-    map_from_system,
-)
+from .census import CENSUS_PRIMES, DEFAULT_BUDGET
 from .ffield import DEFAULT_PRIMES, check_modulus
 from .grammar import SpecSemanticError, SpecSyntaxError, parse_spec
-from .schemes import PrimeBoundError, dimension
-from .suites import (
-    check_expected,
-    csv_summary,
-    json_report,
-    load_manifest,
-    run_case,
-    run_suite,
-    suite_names,
-)
+from .schemes import PrimeBoundError
+from .suites import csv_summary, json_report, load_manifest, run_cases, run_suite, suite_names
 
 
 class UsageError(Exception):
@@ -132,8 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("identif", "uniqueness of generic power decompositions", "budget")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--no-census", action="store_true",
-                    help="skip the corroborating censuses")
 
     sp = command("collide", "point-collision experiments", "prime", "seed")
     sp.add_argument("--op", choices=["merge", "chords", "limit"], required=True)
@@ -152,42 +138,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_dim(args):
-    cases = []
-    lines = []
-    for text in args.spec:
-        rep = dimension(parse_spec(text), args.primes, args.seeds)
-        result = rep.as_dict()
-        cases.append({"spec": text, "result": result,
-                      "passed": check_expected({"unstable": False}, result)})
-        tag = " special" if rep.special else ""
-        tag += " UNSTABLE" if rep.unstable else ""
-        lines.append(
-            f"{text}: virtual={rep.virtual} expected={rep.expected} "
-            f"computed={rep.computed}{tag}"
-        )
-    return {
-        "spec": args.spec[0],
-        "result": cases[0]["result"],
-        "cases": cases,
-        "observed": {"passed": [c["passed"] for c in cases]},
-        "expected": {"passed": {"eq": True}},
-        "lines": lines,
-        "primes": args.primes,
-        "seeds": args.seeds,
-    }
+    cases = [{"id": text, "op": "dim", "spec": text, "expected": {"agree": True}}
+             for text in args.spec]
+    return [run_cases("dim", cases, args.primes, args.seeds)]
 
 
 def _cmd_seq(args):
-    case = {"id": "seq", "op": "seq", "n": args.n, "d": args.d,
+    case = {"id": f"seq-{args.n}-{args.d}", "op": "seq", "n": args.n, "d": args.d,
             "expected": {"properties": {"eq": True}}}
-    rep = run_case(case, [], []).observed
-    t = rep["table"]
-    lines = [f"k({args.n},{args.d}) = {t['k']}", "  i    h    s    a"]
-    for i, h, s, a in zip(t["i"], t["h"], t["s"], t["a"]):
-        lines.append(f"{i:3d} {h:4d} {s:4d} {a if a is not None else '':>5}")
-    props = rep["properties"]
-    lines.append("properties: " + ", ".join(f"{k2}={v}" for k2, v in props.items()))
-    return {"result": rep, "expected": case["expected"], "lines": lines}
+    return [run_cases("seq", [case], [], [])]
 
 
 def _cmd_cremona(args):
@@ -195,53 +154,17 @@ def _cmd_cremona(args):
     primes = args.census_primes or list(CENSUS_PRIMES.get(spec.n, ()))
     if not primes:
         raise UsageError(f"no census primes for n={spec.n}; give --prime")
-    cases = []
-    lines = []
-    for p in primes:
-        c = fiber_census(map_from_system(spec, p, args.seed), args.budget)
-        result = c.as_dict()
-        cases.append({"prime": p, "result": result,
-                      "passed": check_expected({"verdict": {"ne": "inconclusive"}}, result)})
-        lines.append(
-            f"{args.spec} @ p={p}: verdict={c.verdict} "
-            f"fraction_unique={c.fraction_unique:.6f} image={c.image_size} "
-            f"base={c.base_points}"
-        )
-    verdicts = [c["result"]["verdict"] for c in cases]
-    if len(set(verdicts)) > 1:
-        lines.append("PRIME DISAGREEMENT: " + ", ".join(sorted(set(verdicts))))
-    return {
-        "spec": args.spec,
-        "result": cases[0]["result"],
-        "cases": cases,
-        # every prime passes, and all give one verdict
-        "observed": {"passed": [c["passed"] for c in cases], "agree": len(set(verdicts)) == 1},
-        "expected": {"passed": {"eq": True}, "agree": True},
-        "lines": lines,
-        "primes": primes,
-        "seeds": [args.seed],
-    }
+    # every prime gives a verdict, and all give the same one
+    case = {"id": args.spec, "op": "cremona", "spec": args.spec,
+            "expected": {"verdicts": {"ne": "inconclusive"}, "agree": True}}
+    return [run_cases("cremona", [case], primes, [args.seed], args.budget)]
 
 
 def _cmd_identif(args):
-    v = identifiability_verdict(
-        args.n, args.d, corroborate=not args.no_census, budget=args.budget
-    )
-    tail = f", s = {v.s}" if v.s is not None else ""
-    lines = [f"({args.n},{args.d}): {v.status}{tail}"]
-    for c in v.censuses:
-        lines.append(f"  census p={c.prime}: {c.verdict} "
-                     f"(fraction_unique={c.fraction_unique:.6f})")
-    return {
-        "result": v.as_dict(),
-        "cases": [c.as_dict() for c in v.censuses],
-        # no census, nothing checked: corroborated is None and passes
-        "expected": {"corroborated": {"ne": False}},
-        "lines": lines,
-        # identifiability_verdict runs its censuses at seed 0
-        "primes": [c.prime for c in v.censuses],
-        "seeds": [0] if v.censuses else [],
-    }
+    # no census, nothing checked: corroborated is None and passes
+    case = {"id": f"identif-{args.n}-{args.d}", "op": "identif", "n": args.n, "d": args.d,
+            "expected": {"corroborated": {"ne": False}}}
+    return [run_cases("identif", [case], [], [], args.budget)]
 
 
 # each collide op: the options it reads besides --n (by dest), the values it
@@ -259,36 +182,23 @@ _COLLIDE = {
 
 
 def _cmd_collide(args):
-    reads, expected, line = _COLLIDE[args.op]
+    reads, expected, _ = _COLLIDE[args.op]
     given = [key for key in ("d", "h") if getattr(args, key) is not None]
     if any(key not in given for key in reads):
         raise UsageError(f"--op {args.op} needs " + " and ".join(f"--{key}" for key in reads))
     unread = [key for key in given if key not in reads]
     if unread:
         raise UsageError(f"--op {args.op} does not read " + " or ".join(f"--{key}" for key in unread))
-    case = {"id": args.op, "op": args.op, "n": args.n,
-            **{key: getattr(args, key) for key in reads}, "expected": expected}
-    rep = run_case(case, [args.prime], [args.seed]).observed
-    shape = "is exactly a" if rep.get("exact") else "strictly contains the"
-    return {"result": rep, "expected": expected, "lines": [line.format(**rep, shape=shape)],
-            "primes": [args.prime], "seeds": [args.seed]}
+    values = {key: getattr(args, key) for key in reads}
+    case = {"id": "-".join(map(str, [args.op, args.n, *values.values()])), "op": args.op,
+            "n": args.n, **values, "expected": expected}
+    return [run_cases("collide", [case], [args.prime], [args.seed])]
 
 
 def _cmd_castelnuovo(args):
-    case = {"id": "castelnuovo", "op": "castelnuovo", "spec": args.spec,
+    case = {"id": args.spec, "op": "castelnuovo", "spec": args.spec,
             "expected": {"subadditive": True}}
-    rep = run_case(case, args.primes, args.seeds).observed
-    line = "h0: system={system} kernel={kernel} trace={trace} ".format(**rep["h0"])
-    return {"spec": args.spec, "result": rep, "expected": case["expected"],
-            "lines": [line + f"subadditive={rep['subadditive']}"],
-            "primes": args.primes, "seeds": args.seeds}
-
-
-def _summary(res):
-    """A suite's pass count and run time, then one line per failed case."""
-    ok = len(res.cases) - len(res.failures)
-    return [f"{res.name}: {ok}/{len(res.cases)} passed ({res.elapsed:.1f}s)",
-            *(f"  FAIL {cid}" for cid in res.failures)]
+    return [run_cases("castelnuovo", [case], args.primes, args.seeds)]
 
 
 def _cmd_suite(args):
@@ -300,18 +210,7 @@ def _cmd_suite(args):
     unknown = [nm for nm in args.names if nm not in suite_names(manifest)]
     if unknown:
         raise UsageError(f"unknown suite(s): {', '.join(unknown)}")
-    names = args.names or suite_names(manifest)
-    results = [run_suite(nm, manifest, args.suite_budget) for nm in names]
-    report = json_report(results)
-    return {
-        "result": report,
-        "expected": {"passed": True},
-        "lines": [line for res in results for line in _summary(res)],
-        "csv": csv_summary(results),
-        # dict keys keep run order and drop repeats
-        "primes": list(dict.fromkeys(p for res in results for p in res.primes)),
-        "seeds": list(dict.fromkeys(s for res in results for s in res.seeds)),
-    }
+    return [run_suite(nm, manifest, args.suite_budget) for nm in args.names or suite_names(manifest)]
 
 
 _COMMANDS = {
@@ -323,6 +222,81 @@ _COMMANDS = {
     "castelnuovo": _cmd_castelnuovo,
     "suite": _cmd_suite,
 }
+
+
+# ------------------------------------------------------------- text reports
+
+
+def _dim_lines(case):
+    o = case.observed
+    tag = (" special" if o["special"] else "") + ("" if o["agree"] else " UNSTABLE")
+    return [f"{case.params['spec']}: virtual={o['virtual']} expected={o['expected']} "
+            f"computed={o['computed']}{tag}"]
+
+
+def _seq_lines(case):
+    t = case.observed["table"]
+    lines = [f"k({t['n']},{t['d']}) = {t['k']}", "  i    h    s    a"]
+    for i, h, s, a in zip(t["i"], t["h"], t["s"], t["a"]):
+        lines.append(f"{i:3d} {h:4d} {s:4d} {a if a is not None else '':>5}")
+    props = case.observed["properties"]
+    return lines + ["properties: " + ", ".join(f"{k2}={v}" for k2, v in props.items())]
+
+
+def _cremona_lines(case):
+    o = case.observed
+    lines = [f"{case.params['spec']} @ p={c['prime']}: verdict={c['verdict']} "
+             f"fraction_unique={c['fraction_unique']:.6f} image={c['image_size']} "
+             f"base={c['base_points']}" for c in o["censuses"]]
+    if not o["agree"]:
+        lines.append("PRIME DISAGREEMENT: " + ", ".join(sorted(set(o["verdicts"]))))
+    return lines
+
+
+def _identif_lines(case):
+    o = case.observed
+    tail = f", s = {o['s']}" if o["s"] is not None else ""
+    return [f"({case.params['n']},{case.params['d']}): {o['status']}{tail}",
+            *(f"  census p={c['prime']}: {c['verdict']} "
+              f"(fraction_unique={c['fraction_unique']:.6f})" for c in o["censuses"])]
+
+
+def _collide_lines(case):
+    shape = "is exactly a" if case.observed.get("exact") else "strictly contains the"
+    return [_COLLIDE[case.op][2].format(**case.observed, shape=shape)]
+
+
+def _castelnuovo_lines(case):
+    o = case.observed
+    line = "h0: system={system} kernel={kernel} trace={trace} ".format(**o["h0"])
+    return [line + f"subadditive={o['subadditive']}"]
+
+
+# each op a subcommand runs: the text lines of one case
+_LINES = {
+    "dim": _dim_lines,
+    "seq": _seq_lines,
+    "cremona": _cremona_lines,
+    "identif": _identif_lines,
+    "merge": _collide_lines,
+    "chords": _collide_lines,
+    "limit": _collide_lines,
+    "castelnuovo": _castelnuovo_lines,
+}
+
+
+def _summary(res):
+    """A suite's pass count and run time, then one line per failed case."""
+    ok = len(res.cases) - len(res.failures)
+    return [f"{res.name}: {ok}/{len(res.cases)} passed ({res.elapsed:.1f}s)",
+            *(f"  FAIL {cid}" for cid in res.failures)]
+
+
+def _text(cmd, results):
+    """`suite`'s pass counts, or the lines of each case another subcommand ran."""
+    if cmd == "suite":
+        return [line for res in results for line in _summary(res)]
+    return [line for res in results for case in res.cases for line in _LINES[case.op](case)]
 
 
 def main(argv=None) -> int:
@@ -345,7 +319,7 @@ def _main(argv) -> int:
     payload = {"tool_version": __version__, "subcommand": args.cmd}
     t0 = time.perf_counter()
     try:
-        out = {"spec": None, "cases": [], "primes": [], "seeds": [], **_COMMANDS[args.cmd](args)}
+        results = _COMMANDS[args.cmd](args)
     except (SpecSyntaxError, SpecSemanticError, UsageError, PrimeBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -355,15 +329,21 @@ def _main(argv) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1
-    payload.update({key: out[key] for key in ("spec", "primes", "seeds", "result", "cases")})
-    payload["timings"] = {"total": round(time.perf_counter() - t0, 3)}
+    report = json_report(results)
     if args.json:
+        payload.update(
+            # dict keys keep run order and drop repeats
+            primes=list(dict.fromkeys(p for res in results for p in res.primes)),
+            seeds=list(dict.fromkeys(s for res in results for s in res.seeds)),
+            result=report,
+            timings={"total": round(time.perf_counter() - t0, 3)},
+        )
         print(json.dumps(payload, sort_keys=True, indent=2))
-    elif "csv" in out and args.csv:
-        print(out["csv"], end="")
+    elif args.cmd == "suite" and args.csv:
+        print(csv_summary(results), end="")
     else:
-        print("\n".join(out["lines"]))
-    return 0 if check_expected(out["expected"], out.get("observed", out["result"])) else 1
+        print("\n".join(_text(args.cmd, results)))
+    return 0 if report["passed"] else 1
 
 
 if __name__ == "__main__":

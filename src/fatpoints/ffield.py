@@ -17,8 +17,8 @@ p < MAX_MODULUS:
 The reduced row echelon form is unique, so the pivots and `kernel_basis` do
 not depend on the batch size. `rank` reads only the pivot count, and
 eliminates whichever of A and A^T is narrower (A^T as a view), since each
-pivot step spans the width. Only `kernel_basis` needs the reduced rows, sorted
-into the reduced row echelon form by `_eliminate`.
+pivot step spans the width. Only `kernel_basis` needs the reduced rows; it
+reads them in the order found, each beside its pivot.
 
 This module owns the residue arithmetic of the package: `_reduce` is the one
 float64 reduction mod p, shared by elimination and the census, and `normalize`
@@ -234,14 +234,6 @@ def _reduced_rows(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return basis[: len(pivots)], pivots
 
 
-def _eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of the residue matrix a, and its pivot columns."""
-    rows, pivots = _reduced_rows(a, p)
-    out = np.zeros_like(a)
-    out[: len(pivots)] = rows[np.argsort(pivots)]
-    return out, sorted(pivots)
-
-
 def rank(m: FieldMatrix) -> int:
     """Rank over F_p. The input matrix is not mutated.
 
@@ -257,14 +249,15 @@ def kernel_basis(m: FieldMatrix) -> list[np.ndarray]:
     """Basis of the right kernel, one vector per free column, each normalized.
 
     The vector of free column f is 1 at f, 0 at the other free columns and
-    -red[i, f] at the pivot column of reduced row i.
+    -red[i, f] at the pivot column of reduced row i, in whatever order the
+    rows were found.
     """
     p = m.p
-    red, pivots = _eliminate(m.a, p)
+    red, pivots = _reduced_rows(m.a, p)
     free = np.setdiff1d(np.arange(m.cols), pivots)
     basis = np.zeros((len(free), m.cols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = -red[: len(pivots), free].T % p
+    basis[:, pivots] = -red[:, free].T % p
     return [normalize(v, p) for v in basis]
 
 

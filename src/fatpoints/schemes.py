@@ -322,28 +322,7 @@ class DimensionReport:
     primes: tuple[int, ...]
     seeds: tuple[int, ...]
     trials: tuple[Trial, ...]
-    stable: bool
-    unstable: bool
     note: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "virtual": self.virtual,
-            "expected": self.expected,
-            "computed": self.computed,
-            "special": self.special,
-            "primes": list(self.primes),
-            "seeds": list(self.seeds),
-            "trials": [
-                {"prime": t.prime, "seed": t.seed, "dim": t.dim} for t in self.trials
-            ],
-            "stable": self.stable,
-            "unstable": self.unstable,
-            "note": self.note,
-        }
-
-
-OVERDETERMINED_FACTOR = 1.5  # rows/cols ratio beyond which one empty trial settles it
 
 
 def dimension(
@@ -353,8 +332,8 @@ def dimension(
 ) -> DimensionReport:
     """Projective dimension of the sampled system, minimized over trials.
 
-    Disagreement between trials is reported, never resolved silently: the
-    "unstable" flag fires when >= 3 trials spanning two primes disagree.
+    Every (prime, seed) trial is kept, so a disagreement between trials is
+    reported, never resolved silently.
     """
     primes = tuple(int(p) for p in primes)
     seeds = tuple(int(s) for s in seeds)
@@ -364,33 +343,14 @@ def dimension(
     exp = expected_dim(spec)
 
     def report(computed, trials, note=""):
-        n_primes = len({t.prime for t in trials})
-        stable = len({t.dim for t in trials}) <= 1
-        return DimensionReport(
-            spec=spec,
-            virtual=vd,
-            expected=exp,
-            computed=computed,
-            special=computed > exp,
-            primes=primes,
-            seeds=seeds,
-            trials=tuple(trials),
-            stable=stable,
-            unstable=(not stable) and len(trials) >= 3 and n_primes >= 2,
-            note=note,
-        )
+        return DimensionReport(spec, vd, exp, computed, computed > exp, primes, seeds,
+                               tuple(trials), note)
 
     if spec.oversized_multiplicities:
         return report(-1, [], note="multiplicity exceeds degree: empty by definition")
-
     cols = comb(spec.d + spec.n, spec.n)
-    overdetermined = spec.condition_rows() > OVERDETERMINED_FACTOR * cols
-    trials: list[Trial] = []
-    for p in primes:
-        for s in seeds:
-            trials.append(Trial(p, s, cols - rank(condition_matrix(spec, p, s)) - 1))
-            if overdetermined and len(trials) == 1 and trials[0].dim == -1:
-                return report(-1, trials, note="overdetermined: single confirming rank")
+    trials = [Trial(p, s, cols - rank(condition_matrix(spec, p, s)) - 1)
+              for p in primes for s in seeds]
     return report(min(t.dim for t in trials), trials)
 
 

@@ -18,7 +18,14 @@ from importlib import resources
 import numpy as np
 
 from ._version import __version__
-from .census import DEFAULT_BUDGET, census_for_doubles, identifiability_verdict, quadric_rank
+from .census import (
+    DEFAULT_BUDGET,
+    census_for_doubles,
+    fiber_census,
+    identifiability_verdict,
+    map_from_system,
+    quadric_rank,
+)
 from .collisions import collision1_check, indip_check, limit_multiplicity_check
 from .ffield import kernel_basis
 from .formulas import hs_sequences, k, plane_genus, r, verify_sequence_properties
@@ -112,7 +119,7 @@ def check_expected(expected: dict, observed: dict) -> bool:
 
 class _Entry(dict):
     """A manifest entry, which must be a JSON object; reading a key it lacks,
-    or a list key that holds no list, is a manifest fault that names it.
+    or a value of the wrong JSON type, is a manifest fault that names it.
 
     Only lookups on the entry itself are caught, so a KeyError raised inside
     a computation stays a KeyError.
@@ -129,9 +136,14 @@ class _Entry(dict):
 
     def listed(self, key: str) -> list:
         """The value of key, which must be a list."""
-        if not isinstance(self[key], list):
-            raise ValueError(f"{self.where} has {key!r} {self[key]!r}, not a list")
-        return self[key]
+        return self.typed(repr(key), self[key])
+
+    def typed(self, name: str, value, kind: type = list):
+        """value, which this entry holds as name; refused unless of kind (list or dict)."""
+        if not isinstance(value, kind):
+            what = "an object" if kind is dict else "a list"
+            raise ValueError(f"{self.where} has {name} {value!r}, not {what}")
+        return value
 
 
 def load_manifest(path=None) -> dict:
@@ -147,16 +159,17 @@ def load_manifest(path=None) -> dict:
 
 
 def _dim_observed(spec: SchemeSpec, primes, seeds) -> dict:
-    reports = [dimension(spec, (p,), seeds) for p in primes]
-    computeds = [rep.computed for rep in reports]
-    low = min(computeds)
+    rep = dimension(spec, primes, seeds)
+    # the minimum at each prime; a system empty by definition runs no trial
+    computeds = [min((t.dim for t in rep.trials if t.prime == p), default=rep.computed)
+                 for p in primes]
     return {
         "computeds": computeds,
         "agree": len(set(computeds)) == 1,
-        "computed": low,
-        "virtual": reports[0].virtual,
-        "expected": reports[0].expected,
-        "special": low > reports[0].expected,
+        "computed": rep.computed,
+        "virtual": rep.virtual,
+        "expected": rep.expected,
+        "special": rep.special,
     }
 
 
@@ -289,10 +302,18 @@ def _op_census(case, primes, seeds, budget) -> dict:
     }
 
 
+def _op_cremona(case, primes, seeds, budget) -> dict:
+    spec = parse_spec(case["spec"])
+    runs = [fiber_census(map_from_system(spec, p, seeds[0]), budget) for p in primes]
+    verdicts = [c.verdict for c in runs]
+    return {"verdicts": verdicts, "agree": len(set(verdicts)) == 1,
+            "censuses": [c.as_dict() for c in runs]}
+
+
 def _op_identif(case, primes, seeds, budget) -> dict:
     v = identifiability_verdict(case["n"], case["d"], budget=budget)
     return {"status": v.status, "s": v.s, "verdicts": [c.verdict for c in v.censuses],
-            "corroborated": v.corroborated}
+            "corroborated": v.corroborated, "censuses": [c.as_dict() for c in v.censuses]}
 
 
 def _op_seq(case, primes, seeds, budget) -> dict:
@@ -331,6 +352,7 @@ _HANDLERS = {
     "cubic-flag": _op_cubic_flag,
     "genus": _op_genus,
     "census": _op_census,
+    "cremona": _op_cremona,
     "identif": _op_identif,
     "seq": _op_seq,
     "merge": _op_merge,
@@ -360,7 +382,8 @@ def run_case(case, primes, seeds, budget=None) -> CaseResult:
     )
 
 
-def _run_cases(name, cases, primes, seeds, budget=None) -> SuiteResult:
+def run_cases(name, cases, primes, seeds, budget=None) -> SuiteResult:
+    """Run the cases as the suite `name`, each at the given primes, seeds and budget."""
     if not cases:
         raise ValueError(f"suite {name!r} has no case")
     primes = tuple(int(p) for p in primes)
@@ -394,7 +417,7 @@ def run_ah_suite(
     grid = _Entry("suite 'ah' grid", conf["grid"])
     n_max = grid["n_max"] if n_max is None else n_max
     d_max = grid["d_max"] if d_max is None else d_max
-    sporadic = {tuple(t) for t in conf["sporadics"]}
+    sporadic = {tuple(conf.typed("'sporadics' entry", t)) for t in conf.listed("sporadics")}
     d_min = grid.get("d_min", 2)
 
     def case(n, d, h, origin):
@@ -416,7 +439,7 @@ def run_ah_suite(
         for n, d, h in sorted(sporadic - set(on_grid))
         if n <= n_max and d <= d_max
     ]
-    return _run_cases("ah", cases, conf.listed("primes"), conf.listed("seeds"))
+    return run_cases("ah", cases, conf.listed("primes"), conf.listed("seeds"))
 
 
 def run_prop23_suite(manifest: dict | None = None) -> SuiteResult:
@@ -434,8 +457,8 @@ def run_suite(name: str, manifest: dict | None = None, budget: float | None = No
 
     `ah` runs the cases `run_ah_suite` builds from its grid. Any other suite
     runs its `cases` at its `primes`, or, when it names none, at the sorted
-    union of its cases' `primes`. Every suite runs at its `seeds`; census
-    cases run at `budget`, else at the suite's `budget`, else DEFAULT_BUDGET.
+    union of its cases' `primes`. Every suite runs at its `seeds`; every
+    census runs at `budget`, else at the suite's `budget`, else DEFAULT_BUDGET.
     A suite with no case is refused, so it cannot pass vacuously.
     """
     manifest = load_manifest() if manifest is None else manifest
@@ -450,10 +473,13 @@ def run_suite(name: str, manifest: dict | None = None, budget: float | None = No
         case.where = f"{conf.where} case {case.get('id')!r}"
         if case.get("op") not in _HANDLERS:
             raise ValueError(f"{case.where} has unknown op {case.get('op')!r}")
+        case.typed("'expected'", case.get("expected", {}), dict)
+        if "primes" in case:  # a census case's own primes
+            case.listed("primes")
     primes = (conf.listed("primes") if "primes" in conf
               else sorted({p for c in cases for p in c["primes"]}))
     budget = conf.get("budget", DEFAULT_BUDGET) if budget is None else budget
-    return _run_cases(name, cases, primes, conf.listed("seeds"), budget)
+    return run_cases(name, cases, primes, conf.listed("seeds"), budget)
 
 
 def suite_names(manifest: dict | None = None) -> tuple[str, ...]:

@@ -11,16 +11,7 @@ import fatpoints
 from fatpoints.cli import main
 from fatpoints.suites import load_manifest, run_suite
 
-PAYLOAD_KEYS = {
-    "tool_version",
-    "subcommand",
-    "spec",
-    "primes",
-    "seeds",
-    "result",
-    "cases",
-    "timings",
-}
+PAYLOAD_KEYS = {"tool_version", "subcommand", "primes", "seeds", "result", "timings"}
 
 
 def run(capsys, argv):
@@ -34,6 +25,18 @@ def run_json(capsys, argv):
     return code, json.loads(out), err
 
 
+def cases_of(payload):
+    """The cases of the one suite a subcommand ran."""
+    (suite,) = payload["result"]["suites"]
+    return suite["cases"]
+
+
+def observed(payload):
+    """The observed values of the one case a subcommand ran."""
+    (case,) = cases_of(payload)
+    return case["observed"]
+
+
 def test_dim_text_output(capsys):
     code, out, _ = run(capsys, ["dim", "L(3,3;2^4)"])
     assert code == 0
@@ -45,11 +48,35 @@ def test_dim_json_payload(capsys):
     assert code == 0
     assert set(payload) == PAYLOAD_KEYS
     assert payload["subcommand"] == "dim"
-    assert payload["spec"] == "L(3,3;2^4)"
     assert payload["primes"] == [32003]
     assert payload["seeds"] == [0, 1, 2]
-    assert payload["result"]["computed"] == 3
+    (case,) = cases_of(payload)
+    assert case["params"] == {"spec": "L(3,3;2^4)"}
+    assert case["expected"] == {"agree": True}
+    assert case["observed"]["computed"] == 3
+    assert payload["result"]["passed"] is True
     assert payload["timings"]["total"] >= 0
+
+
+@pytest.mark.parametrize(
+    "skewed,code,tag",
+    [
+        (lambda t: t.prime == 65521, 1, " UNSTABLE"),  # the minima of the two primes differ
+        (lambda t: t.seed == 1, 0, ""),  # only the seeds disagree; the minima agree
+    ],
+    ids=["primes-disagree", "seeds-disagree"],
+)
+def test_dim_passes_when_the_minima_of_its_primes_agree(capsys, monkeypatch, skewed, code, tag):
+    real = fatpoints.suites.dimension
+
+    def dimension(spec, primes, seeds):
+        rep = real(spec, primes, seeds)
+        return replace(rep, trials=tuple(replace(t, dim=t.dim + 1) if skewed(t) else t
+                                         for t in rep.trials))
+
+    monkeypatch.setattr(fatpoints.suites, "dimension", dimension)
+    argv = ["dim", "L(3,3;2^4)", "--prime", "32003", "--prime", "65521", "--seed", "0", "--seed", "1"]
+    assert run(capsys, argv) == (code, f"L(3,3;2^4): virtual=3 expected=3 computed=3{tag}\n", "")
 
 
 def test_dim_multiple_specs_and_special_tag(capsys):
@@ -70,8 +97,7 @@ def test_dim_flag_overrides(capsys):
     assert code == 0
     assert payload["primes"] == [32003, 65521]
     assert payload["seeds"] == [0, 1]
-    assert payload["result"]["primes"] == [32003, 65521]
-    assert payload["result"]["seeds"] == [0, 1]
+    assert observed(payload)["computeds"] == [3, 3]
     # one use replaces the default list, it does not extend it
     code, payload, _ = run_json(capsys, ["dim", "L(3,3;2^4)", "--seed", "5"])
     assert payload["primes"] == [32003]
@@ -179,10 +205,10 @@ def test_seq_output(capsys):
 def test_seq_json_table(capsys):
     code, payload, _ = run_json(capsys, ["seq", "--n", "5", "--d", "4"])
     assert code == 0
-    table = payload["result"]["table"]
+    table = observed(payload)["table"]
     assert table["s"] == [0, 1, 5, 15]
     assert table["h"] == [2, 5, 9, 14]
-    assert all(payload["result"]["properties"].values())
+    assert all(observed(payload)["properties"].values())
 
 
 def test_seq_domain_error_exit_1(capsys):
@@ -198,7 +224,7 @@ def test_allocation_failure_exit_1(capsys, monkeypatch):
     def dimension(*args, **kwargs):
         raise MemoryError("Unable to allocate 5.31 GiB for an array with shape (27, 27, 27)")
 
-    monkeypatch.setattr(fatpoints.cli, "dimension", dimension)
+    monkeypatch.setattr(fatpoints.suites, "dimension", dimension)
     code, out, err = run(capsys, ["dim", "L(12,12;2)"])
     assert code == 1
     assert out == ""
@@ -247,13 +273,13 @@ def test_cremona_reports_its_seed(capsys):
 
 
 def test_cremona_prime_disagreement_exit_1(capsys, monkeypatch):
-    real = fatpoints.cli.fiber_census
+    real = fatpoints.suites.fiber_census
 
     def fiber_census(m, budget):
         c = real(m, budget)
         return replace(c, verdict="birational") if m.prime == 11 else c
 
-    monkeypatch.setattr(fatpoints.cli, "fiber_census", fiber_census)
+    monkeypatch.setattr(fatpoints.suites, "fiber_census", fiber_census)
     code, out, _ = run(capsys, ["cremona", "L(2,2;2)", "--prime", "7", "--prime", "11"])
     assert code == 1
     lines = out.splitlines()
@@ -265,7 +291,7 @@ def test_cremona_defaults_to_the_census_primes(capsys):
     code, payload, _ = run_json(capsys, ["cremona", "L(2,2;2)"])
     assert code == 0
     assert payload["primes"] == [499, 251]
-    assert [c["prime"] for c in payload["cases"]] == [499, 251]
+    assert [c["prime"] for c in observed(payload)["censuses"]] == [499, 251]
 
 
 def test_cremona_without_census_primes_needs_prime(capsys):
@@ -291,12 +317,13 @@ def test_census_cost_past_the_float_range_is_refused(capsys):
 
 
 def test_identif_no_census(capsys):
-    code, out, _ = run(capsys, ["identif", "--n", "2", "--d", "4", "--no-census"])
+    # a budget that no census fits runs none
+    code, out, _ = run(capsys, ["identif", "--n", "2", "--d", "4", "--budget", "1"])
     assert code == 0
-    assert "(2,4): not-identifiable, s = 5" in out
-    code, out, _ = run(capsys, ["identif", "--n", "2", "--d", "3", "--no-census"])
+    assert out == "(2,4): not-identifiable, s = 5\n"
+    code, out, _ = run(capsys, ["identif", "--n", "2", "--d", "3", "--budget", "1"])
     assert code == 0
-    assert "non-perfect" in out
+    assert out == "(2,3): non-perfect\n"
 
 
 def test_identif_budget_skips_census(capsys):
@@ -304,30 +331,30 @@ def test_identif_budget_skips_census(capsys):
         capsys, ["identif", "--n", "1", "--d", "5", "--budget", "10"]
     )
     assert code == 0
-    assert payload["result"]["status"] == "identifiable"
-    assert payload["result"]["censuses"] == []
+    assert observed(payload)["status"] == "identifiable"
+    assert observed(payload)["censuses"] == []
     # no census ran, so nothing corroborates the status, and nothing fails it
-    assert payload["result"]["corroborated"] is None
+    assert observed(payload)["corroborated"] is None
     assert payload["primes"] == [] and payload["seeds"] == []
 
 
 def test_identif_reports_its_census_primes(capsys):
     code, payload, _ = run_json(capsys, ["identif", "--n", "2", "--d", "4"])
     assert code == 0
-    assert payload["primes"] == [499, 251]
-    assert payload["seeds"] == [0]
-    assert [c["prime"] for c in payload["cases"]] == [499, 251]
+    # the op picks the census primes of dimension n; the run sets none
+    assert payload["primes"] == [] and payload["seeds"] == []
+    assert [c["prime"] for c in observed(payload)["censuses"]] == [499, 251]
 
 
 def test_identif_inconclusive_census_is_not_corroboration(capsys):
     code, payload, _ = run_json(capsys, ["identif", "--n", "2", "--d", "7"])
-    assert payload["result"]["status"] == "not-identifiable"
-    assert [c["verdict"] for c in payload["result"]["censuses"]] == ["inconclusive"] * 2
-    assert payload["result"]["corroborated"] is False
+    assert observed(payload)["status"] == "not-identifiable"
+    assert [c["verdict"] for c in observed(payload)["censuses"]] == ["inconclusive"] * 2
+    assert observed(payload)["corroborated"] is False
     assert code == 1
     code, payload, _ = run_json(capsys, ["identif", "--n", "2", "--d", "4"])
-    assert [c["verdict"] for c in payload["result"]["censuses"]] == ["fiber-type"] * 2
-    assert payload["result"]["corroborated"] is True
+    assert [c["verdict"] for c in observed(payload)["censuses"]] == ["fiber-type"] * 2
+    assert observed(payload)["corroborated"] is True
     assert code == 0
 
 
@@ -375,8 +402,8 @@ def test_limit_bounds_are_judged_by_the_command_and_the_suite(capsys, monkeypatc
     monkeypatch.setattr(fatpoints.collisions, "dimension", dimension)
     code, payload, _ = run_json(capsys, ["collide", "--op", "limit", "--n", "2", "--d", "7", "--h", "7"])
     assert code == 1
-    assert payload["result"]["deeper_point_dim"] == 99 > payload["result"]["doubles_dim"]
-    assert payload["result"]["within_bounds"] is False
+    assert observed(payload)["deeper_point_dim"] == 99 > observed(payload)["doubles_dim"]
+    assert observed(payload)["within_bounds"] is False
     res = run_suite("collisions")
     assert res.failures == ("limit-2-7-7",)
 
@@ -392,7 +419,7 @@ def test_collide_missing_args_exit_2(capsys):
 def test_castelnuovo(capsys):
     code, payload, _ = run_json(capsys, ["castelnuovo", "L(3,4;3@H2,2^3)"])
     assert code == 0
-    res = payload["result"]
+    res = observed(payload)
     assert res["subadditive"] is True
     assert res["h0"]["system"] <= res["h0"]["kernel"] + res["h0"]["trace"]
     assert res["kernel"]["d"] == 3
@@ -406,9 +433,7 @@ def test_suite_subcommand(capsys):
     assert payload["result"]["passed"] is True
     assert payload["primes"] == [32003, 65521]
     assert payload["seeds"] == [0]
-    # each case is reported once, inside its suite
-    assert payload["cases"] == []
-    assert len(payload["result"]["suites"][0]["cases"]) > 0
+    assert len(cases_of(payload)) == 8
     code, _, err = run(capsys, ["suite", "bogus"])
     assert code == 2
     assert "unknown suite" in err
@@ -450,11 +475,13 @@ def test_identifiability_suite_slice(capsys, tmp_path):
     assert len(cases) == 9
     code, payload, _ = run_json(capsys, ["suite", "--manifest", path])
     assert code == 0
-    observed = {c["id"]: c["observed"] for c in payload["result"]["suites"][0]["cases"]}
-    assert observed["identif-2-5"] == {"status": "identifiable", "s": 7, "corroborated": True,
-                                       "verdicts": ["birational", "birational"]}
-    assert observed["identif-2-6"] == {"status": "non-perfect", "s": None, "corroborated": None,
-                                       "verdicts": []}
+    by_id = {c["id"]: c["observed"] for c in cases_of(payload)}
+    censuses = by_id["identif-2-5"].pop("censuses")
+    assert [(c["prime"], c["verdict"]) for c in censuses] == [(499, "birational"), (251, "birational")]
+    assert by_id["identif-2-5"] == {"status": "identifiable", "s": 7, "corroborated": True,
+                                    "verdicts": ["birational", "birational"]}
+    assert by_id["identif-2-6"] == {"status": "non-perfect", "s": None, "corroborated": None,
+                                    "verdicts": [], "censuses": []}
     # one changed expected value fails that case, and the command
     broken = [dict(c, expected={**c["expected"], "s": 6}) if c["id"] == "identif-2-5" else c
               for c in cases]
@@ -554,6 +581,16 @@ MANIFEST_FAULTS = {
     "empty ah grid": (["ah"], {"suites": {"ah": {"primes": [32003], "seeds": [0], "sporadics": [],
                                                  "grid": {"n_max": 0, "d_max": 3}}}}, 1,
                       "suite 'ah' has no case"),
+    "sporadic not a list": (["ah"], {"suites": {"ah": {"primes": [32003], "seeds": [0],
+                                                       "sporadics": [5],
+                                                       "grid": {"n_max": 1, "d_max": 2}}}}, 1,
+                            "suite 'ah' has 'sporadics' entry 5, not a list"),
+    "census primes not a list": ([], {"suites": {"extra": {"seeds": [0], "cases": [
+        {"id": "pencil", "op": "census", "n": 1, "d": 3, "h": 1, "primes": 499}]}}}, 1,
+        "suite 'extra' case 'pencil' has 'primes' 499, not a list"),
+    "expected not an object": ([], _genus_suite({"id": "bad", "op": "genus", "d": 2, "mults": [1],
+                                                 "expected": 5}), 1,
+                               "suite 'extra' case 'bad' has 'expected' 5, not an object"),
 }
 
 

@@ -1,11 +1,13 @@
-"""The exit code, stderr and stdout of a fixed matrix of `fatpoints` runs.
+"""The exit code, stderr and stdout of a fixed matrix of `fatpoints` runs,
+and the report of every manifest suite.
 
-`tests/data/cli_reports.json` pins them. Timings are left out: every
+`tests/data/cli_reports.json` pins the matrix. Timings are left out: every
 `timings` and `elapsed` key is dropped from `--json` output, and the `(N.Ns)`
 of `suite`'s text lines is masked. The matrix covers every subcommand in text
 and `--json` form, the `--csv` forms, usage errors (exit 2), domain errors and
-failed checks (exit 1). After a deliberate change to a report, rewrite the
-file with
+failed checks (exit 1). `tests/data/suite_report.json` pins `fatpoints suite
+--json`, timings left out, with each case on one line. After a deliberate
+change to a report, rewrite both files with
 
     PYTHONPATH=src python tests/test_cli_reports.py
 """
@@ -22,6 +24,7 @@ import pytest
 from fatpoints.cli import main
 
 DATA = Path(__file__).resolve().parent / "data" / "cli_reports.json"
+SUITE_REPORT = DATA.parent / "suite_report.json"
 
 MATRIX = [
     ["dim", "L(2,4;2^5)", "L(3,3;2^4)"],
@@ -42,7 +45,7 @@ MATRIX = [
     ["identif", "--n", "2", "--d", "5", "--json"],
     ["identif", "--n", "2", "--d", "7"],
     ["identif", "--n", "2", "--d", "7", "--json"],
-    ["identif", "--n", "2", "--d", "3", "--no-census", "--json"],
+    ["identif", "--n", "2", "--d", "3", "--budget", "1", "--json"],
     ["identif", "--n", "1", "--d", "5", "--budget", "10", "--json"],
     ["collide", "--op", "merge", "--n", "2", "--d", "4"],
     ["collide", "--op", "merge", "--n", "2", "--d", "4", "--json"],
@@ -102,5 +105,31 @@ def test_cli_report_replays(index):
     assert observe(MATRIX[index]) == pinned[index]
 
 
+def render(value, key="", pad="") -> str:
+    """JSON with sorted keys and a two-space indent, each case on one line."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        parts = [f"{json.dumps(k)}: {render(v, k, inner)}" for k, v in sorted(value.items())]
+    elif isinstance(value, list) and any(isinstance(v, dict) for v in value):
+        parts = [json.dumps(v, sort_keys=True) if key == "cases" else render(v, "", inner)
+                 for v in value]
+    else:
+        return json.dumps(value, sort_keys=True)
+    ends = "{}" if isinstance(value, dict) else "[]"
+    return ends[0] + "\n" + ",\n".join(inner + part for part in parts) + "\n" + pad + ends[1]
+
+
+def suite_report() -> str:
+    """`fatpoints suite --json` as the pinned file holds it; every suite must pass."""
+    run = observe(["suite", "--json"])
+    assert run["exit"] == 0, run["stderr"]
+    return render(json.loads(run["stdout"])) + "\n"
+
+
+def test_suite_report_replays():
+    assert suite_report() == SUITE_REPORT.read_text()
+
+
 if __name__ == "__main__":
     DATA.write_text(json.dumps([observe(argv) for argv in MATRIX], indent=1) + "\n")
+    SUITE_REPORT.write_text(suite_report())

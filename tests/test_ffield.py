@@ -8,7 +8,6 @@ from fatpoints.ffield import (
     DEFAULT_PRIMES,
     MAX_MODULUS,
     FieldMatrix,
-    _eliminate,
     _proportional,
     _reduce,
     check_modulus,
@@ -17,7 +16,7 @@ from fatpoints.ffield import (
     normalize,
     rank,
 )
-from test_ffield_oracle import PRIMES
+from test_ffield_oracle import PRIMES, rref
 
 P = DEFAULT_PRIMES[0]
 
@@ -94,12 +93,12 @@ def test_kernel_examples():
 
 
 def test_rref_examples():
-    red, pivots = _eliminate(FieldMatrix([[2, 4], [1, 2]], 7).a, 7)
+    red, pivots = rref(FieldMatrix([[2, 4], [1, 2]], 7).a, 7)
     assert red.tolist() == [[1, 2], [0, 0]]
     assert pivots == [0]
     rng = np.random.default_rng(3)
     big = FieldMatrix(rng.integers(0, P, (10, 10)), P)
-    _, piv = _eliminate(big.a, P)
+    _, piv = rref(big.a, P)
     assert len(piv) == 10  # full rank with overwhelming probability
 
 
@@ -145,8 +144,8 @@ def test_rank_row_permutation_and_scaling_invariance(rows, rnd):
 @given(matrices)
 def test_rref_idempotent(rows):
     m = FieldMatrix(rows, P)
-    once, piv1 = _eliminate(m.a, P)
-    twice, piv2 = _eliminate(once, P)
+    once, piv1 = rref(m.a, P)
+    twice, piv2 = rref(once, P)
     assert piv1 == piv2
     assert np.array_equal(once, twice)
     for j in piv1:

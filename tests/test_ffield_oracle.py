@@ -1,6 +1,6 @@
 """Row-batch elimination against a Python-integer Gauss-Jordan oracle.
 
-Shapes reach 80 rows so that the 32-row batches of `ffield._eliminate` are
+Shapes reach 80 rows so that the 32-row batches of `ffield._reduced_rows` are
 crossed, tall and wide. `rank` eliminates the transpose of a wide matrix, so
 every shape is also ranked transposed. The moduli run from 3 to 2^31 - 1, where the float64
 products of `ffield._addmul` need several limbs; at 1073741789 the int64 row
@@ -17,9 +17,27 @@ from hypothesis import strategies as st
 
 from fatpoints import ffield
 from fatpoints.census import next_odd_prime
-from fatpoints.ffield import MAX_MODULUS, FieldMatrix, _addmul, _eliminate, _reduce, is_prime, kernel_basis, rank
+from fatpoints.ffield import (
+    MAX_MODULUS,
+    FieldMatrix,
+    _addmul,
+    _reduce,
+    _reduced_rows,
+    is_prime,
+    kernel_basis,
+    rank,
+)
 
 PRIMES = (3, 5, 32003, 65521, 1073741789, 2147483647)
+
+
+def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """The reduced rows of `ffield._reduced_rows` sorted by pivot, zero-padded to
+    the shape of a: the reduced row echelon form, and its pivot columns."""
+    rows, pivots = _reduced_rows(a, p)
+    out = np.zeros(a.shape, dtype=np.int64)
+    out[: len(pivots)] = rows[np.argsort(pivots)]
+    return out, sorted(pivots)
 
 
 def oracle_rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
@@ -88,7 +106,7 @@ def check_against_oracle(a: np.ndarray, p: int) -> None:
     red, pivots = oracle_rref(a.tolist(), p)
     assert rank(m) == len(pivots)
     assert rank(FieldMatrix(a.T, p)) == len(pivots)
-    got, got_pivots = _eliminate(m.a, p)
+    got, got_pivots = rref(m.a, p)
     assert got_pivots == pivots
     want = np.zeros(a.shape, dtype=np.int64)
     if red:

@@ -170,8 +170,8 @@ def test_run_case_runs_one_case_of_an_op():
 
 
 def test_pinned_report_names_the_manifest_suites_and_cases():
-    # CI diffs `fatpoints suite --json` against the pinned file; this catches
-    # a manifest edit that leaves the file stale without running any suite
+    # tests/test_cli_reports.py compares `fatpoints suite --json` with the pinned
+    # file; this names a manifest edit that leaves the file stale at a glance
     report = json.loads(PINNED_REPORT.read_text())["result"]
     man = load_manifest()
     assert [s["suite"] for s in report["suites"]] == sorted(man["suites"])
