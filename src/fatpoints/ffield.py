@@ -15,10 +15,26 @@ p < MAX_MODULUS:
   dimension 2^20.
 
 The reduced row echelon form is unique, so the pivots and `kernel_basis` do
-not depend on the batch size. `rank` reads only the pivot count, and
-eliminates whichever of A and A^T is narrower (A^T as a view), since each
-pivot step spans the width. Only `kernel_basis` needs the reduced rows; it
-reads them in the order found, each beside its pivot.
+not depend on the batch size. `rank` reads only the pivots, and eliminates
+whichever of A and A^T is narrower (A^T as a view), since each pivot step
+spans the width. Only `kernel_basis` needs the reduced rows; it reads them in
+the order found, each beside its pivot.
+
+Column j of A^T is a pivot exactly when row j of A is independent of rows
+0..j-1, so one elimination of A^T gives the rank of every row prefix of A.
+`rank` keeps them: for a matrix with at most as many rows as columns it
+stores the rank of rows 0..i-1, for every i, under the blake2b digest of
+(p, cols, those rows' residues as uint16 if p < 2^16, else as int32), and it
+looks a wide or square matrix up by its whole digest before eliminating it.
+Hashing is most of what a lookup costs, hence the narrow types; p fixes the
+type, so the key still determines the matrix. So a matrix that is a row prefix
+of, or equal to, one already ranked in this process costs one digest; the
+sampled systems of one (n, d, p, seed) with h double points are such
+prefixes. A tall matrix is never a prefix of a recorded one and is
+eliminated without a lookup. The memo holds at most _PREFIX_CAP digests and
+is cleared when full. A digest is trusted because a wrong hit needs a
+128-bit blake2b digest of different (p, cols, rows) to equal one of the at
+most 2^16 stored: a chance of at most 2^-112 per lookup.
 
 This module owns the residue arithmetic of the package: `_reduce` is the one
 float64 reduction mod p, shared by elimination and the census, and `normalize`
@@ -28,8 +44,10 @@ the one projective representative, shared by sampling, kernel vectors and
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
+from hashlib import blake2b
 
 import numpy as np
 
@@ -45,6 +63,9 @@ _BATCH = 32
 # float64 holds every integer up to 2^53; sums are kept at most 2^52, which
 # bounds the rounding error of the quotient in _reduce.
 _EXACT = 2**52
+# Row-prefix digests `rank` keeps, about 105 bytes each, so about 7 MB at most.
+_PREFIX_CAP = 2**16
+_PREFIX_RANKS: dict[bytes, int] = {}
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -237,12 +258,30 @@ def _reduced_rows(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 def rank(m: FieldMatrix) -> int:
     """Rank over F_p. The input matrix is not mutated.
 
-    rank(A) = rank(A^T), so a wide matrix is eliminated through its transpose
-    (a view): each pivot step then spans the short side, and elimination
-    stops once the short side is full.
+    rank(A) = rank(A^T), so a matrix with at most as many rows as columns is
+    eliminated through its transpose (a view): each pivot step then spans the
+    short side, and elimination stops once the short side is full. Its
+    pivots give the rank of each of its row prefixes, which are kept in
+    _PREFIX_RANKS and answer a later matrix with the same digest.
     """
-    a = m.a.T if m.rows < m.cols else m.a
-    return len(_reduced_rows(a, m.p)[1])
+    p = m.p
+    if m.rows > m.cols:
+        return len(_reduced_rows(m.a, p)[1])
+    # the narrowest type that holds every residue mod p exactly
+    rows = np.ascontiguousarray(m.a, dtype=np.uint16 if p < 2**16 else np.int32)
+    prefix = blake2b(np.array([p, m.cols], dtype=np.int64).tobytes(), digest_size=16)
+    whole = prefix.copy()
+    whole.update(rows)
+    known = _PREFIX_RANKS.get(whole.digest())
+    if known is not None:
+        return known
+    pivots = sorted(_reduced_rows(m.a.T, p)[1])
+    for i, row in enumerate(rows, 1):
+        prefix.update(row)
+        if len(_PREFIX_RANKS) >= _PREFIX_CAP:
+            _PREFIX_RANKS.clear()
+        _PREFIX_RANKS[prefix.digest()] = bisect.bisect_left(pivots, i)
+    return len(pivots)
 
 
 def kernel_basis(m: FieldMatrix) -> list[np.ndarray]:

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -117,6 +117,11 @@ def check_expected(expected: dict, observed: dict) -> bool:
     return True
 
 
+# The JSON type of each scalar parameter a case may carry.
+_PARAM_TYPES = {"n": int, "d": int, "h": int, "spec": str}
+_KIND_NAMES = {list: "a list", dict: "an object", int: "an integer", str: "a string"}
+
+
 class _Entry(dict):
     """A manifest entry, which must be a JSON object; reading a key it lacks,
     or a value of the wrong JSON type, is a manifest fault that names it.
@@ -139,10 +144,10 @@ class _Entry(dict):
         return self.typed(repr(key), self[key])
 
     def typed(self, name: str, value, kind: type = list):
-        """value, which this entry holds as name; refused unless of kind (list or dict)."""
-        if not isinstance(value, kind):
-            what = "an object" if kind is dict else "a list"
-            raise ValueError(f"{self.where} has {name} {value!r}, not {what}")
+        """value, which this entry holds as name; refused unless of kind
+        (list, dict, int or str; a JSON true or false is not an int)."""
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise ValueError(f"{self.where} has {name} {value!r}, not {_KIND_NAMES[kind]}")
         return value
 
 
@@ -415,10 +420,13 @@ def run_ah_suite(
     manifest = load_manifest() if manifest is None else manifest
     conf = _Entry("suite 'ah'", manifest["suites"]["ah"])
     grid = _Entry("suite 'ah' grid", conf["grid"])
-    n_max = grid["n_max"] if n_max is None else n_max
-    d_max = grid["d_max"] if d_max is None else d_max
-    sporadic = {tuple(conf.typed("'sporadics' entry", t)) for t in conf.listed("sporadics")}
-    d_min = grid.get("d_min", 2)
+    n_max = grid.typed("'n_max'", grid["n_max"], int) if n_max is None else n_max
+    d_max = grid.typed("'d_max'", grid["d_max"], int) if d_max is None else d_max
+    d_min = grid.typed("'d_min'", grid.get("d_min", 2), int)
+    sporadic = {
+        tuple(conf.typed("'sporadics' value", x, int) for x in conf.typed("'sporadics' entry", t))
+        for t in conf.listed("sporadics")
+    }
 
     def case(n, d, h, origin):
         expected = {"match": True}
@@ -439,7 +447,13 @@ def run_ah_suite(
         for n, d, h in sorted(sporadic - set(on_grid))
         if n <= n_max and d <= d_max
     ]
-    return run_cases("ah", cases, conf.listed("primes"), conf.listed("seeds"))
+    # Each (n, d) chain runs from its largest h down: at one (p, seed) the system
+    # of h double points is the first h(n+1) rows of the chain's top system, so
+    # `rank` answers the rest of the chain from the one elimination of its top.
+    ran = run_cases("ah", sorted(cases, key=lambda c: (c["n"], c["d"], -c["h"])),
+                    conf.listed("primes"), conf.listed("seeds"))
+    grid_order = {c["id"]: i for i, c in enumerate(cases)}
+    return replace(ran, cases=tuple(sorted(ran.cases, key=lambda c: grid_order[c.id])))
 
 
 def run_prop23_suite(manifest: dict | None = None) -> SuiteResult:
@@ -474,6 +488,9 @@ def run_suite(name: str, manifest: dict | None = None, budget: float | None = No
         if case.get("op") not in _HANDLERS:
             raise ValueError(f"{case.where} has unknown op {case.get('op')!r}")
         case.typed("'expected'", case.get("expected", {}), dict)
+        for key, kind in _PARAM_TYPES.items():
+            if key in case:
+                case.typed(repr(key), case[key], kind)
         if "primes" in case:  # a census case's own primes
             case.listed("primes")
     primes = (conf.listed("primes") if "primes" in conf

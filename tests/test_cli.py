@@ -591,6 +591,17 @@ MANIFEST_FAULTS = {
     "expected not an object": ([], _genus_suite({"id": "bad", "op": "genus", "d": 2, "mults": [1],
                                                  "expected": 5}), 1,
                                "suite 'extra' case 'bad' has 'expected' 5, not an object"),
+    "sporadic value not an integer": (["ah"], {"suites": {"ah": {
+        "primes": [32003], "seeds": [0], "sporadics": [["a", 4, 5]],
+        "grid": {"n_max": 1, "d_max": 2}}}}, 1,
+        "suite 'ah' has 'sporadics' value 'a', not an integer"),
+    "grid bound a string": (["ah"], {"suites": {"ah": {
+        "primes": [32003], "seeds": [0], "sporadics": [], "grid": {"n_max": "2", "d_max": 2}}}},
+        1, "suite 'ah' grid has 'n_max' '2', not an integer"),
+    "degree a string": ([], _genus_suite({"id": "bad", "op": "genus", "d": "2", "mults": [1]}), 1,
+                        "suite 'extra' case 'bad' has 'd' '2', not an integer"),
+    "spec not a string": ([], _genus_suite({"id": "bad", "op": "dim", "spec": 5}), 1,
+                          "suite 'extra' case 'bad' has 'spec' 5, not a string"),
 }
 
 

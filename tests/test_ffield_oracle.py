@@ -6,6 +6,10 @@ every shape is also ranked transposed. The moduli run from 3 to 2^31 - 1, where 
 products of `ffield._addmul` need several limbs; at 1073741789 the int64 row
 steps of `ffield._gauss_jordan` reduce every 7 steps, mid-batch, where the
 other moduli reduce after every step or only at the end.
+
+`rank` keeps the rank of every row prefix of a wide or square matrix it
+eliminates; the memo tests below check those ranks against the oracle, ranked
+in either order, and check that the memo's key and bound hold.
 """
 
 import math
@@ -224,3 +228,78 @@ def test_reduce_near_the_float64_limit(p):
     xs = [0, 1, p - 1, p, p + 1, q * p - 1, q * p, 2**52 - 1, 2**52, (q - 1) * p + p - 1]
     got = _reduce(np.array(xs, dtype=np.float64), p)
     assert got.astype(np.int64).tolist() == [x % p for x in xs]
+
+
+# ------------------------------------------------------------ prefix memo
+
+
+def prefix_ranks(a: np.ndarray, p: int) -> list[int]:
+    """The oracle's rank of rows 0..i-1 of a, for i = 1..rows."""
+    return [len(oracle_rref(a[:i].tolist(), p)[1]) for i in range(1, len(a) + 1)]
+
+
+def fresh_memo(monkeypatch) -> list:
+    """Empty the prefix memo; the shapes `_reduced_rows` eliminates are appended to the list."""
+    shapes = []
+    real = ffield._reduced_rows
+
+    def reduced_rows(a, p):
+        shapes.append(a.shape)
+        return real(a, p)
+
+    monkeypatch.setattr(ffield, "_PREFIX_RANKS", {})
+    monkeypatch.setattr(ffield, "_reduced_rows", reduced_rows)
+    return shapes
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 24),
+    st.integers(0, 48),
+    st.sampled_from(PRIMES),
+    st.sampled_from(KINDS),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_memo_gives_the_rank_of_every_prefix(m, extra, p, kind, seed, top_first):
+    # wide or square, up to 72 columns: A^T crosses the 32-row batches
+    a = build(kind, m, m + extra, p, seed)
+    order = range(m, 0, -1) if top_first else range(1, m + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        eliminated = fresh_memo(mp)
+        got = {i: rank(FieldMatrix(a[:i], p)) for i in order}
+    assert [got[i] for i in range(1, m + 1)] == prefix_ranks(a, p)
+    # top first, every smaller prefix is a hit; smallest first, none is
+    assert len(eliminated) == (1 if top_first else m)
+
+
+def test_memo_key_holds_the_modulus_and_the_width(monkeypatch):
+    eliminated = fresh_memo(monkeypatch)
+    a = build("repeated-rows", 6, 12, 3, seed=11)  # residues mod 3, so the same bytes mod 5
+    # each is the same int64 buffer as a, or as a prefix of it, read at another p or width
+    views = [(a, 3), (a, 5), (a[:2].reshape(1, 24), 3), (a.reshape(3, 24), 3),
+             (a.reshape(2, 36), 3), (a.reshape(4, 18), 5)]
+    for b, p in views:
+        assert FieldMatrix(b, p).a.tobytes() == b.tobytes()
+        assert rank(FieldMatrix(b, p)) == len(oracle_rref(b.tolist(), p)[1])
+    assert len(eliminated) == len(views)
+    for b, p in views:
+        assert rank(FieldMatrix(b, p)) == len(oracle_rref(b.tolist(), p)[1])
+    assert len(eliminated) == len(views)
+
+
+def test_memo_is_cleared_when_full_and_stays_right(monkeypatch):
+    eliminated = fresh_memo(monkeypatch)
+    monkeypatch.setattr(ffield, "_PREFIX_CAP", 8)
+    p = 32003
+    mats = [build(kind, 5, 9, p, seed) for seed, kind in enumerate(KINDS * 2)]
+    mats.append(build("repeated-rows", 12, 20, p, seed=3))  # more rows than the cap
+    for a in mats + mats[::-1]:
+        assert rank(FieldMatrix(a, p)) == len(oracle_rref(a.tolist(), p)[1])
+        assert len(ffield._PREFIX_RANKS) <= 8
+        # the whole matrix is recorded last, so it survives the clearing
+        done = len(eliminated)
+        assert rank(FieldMatrix(a, p)) == len(oracle_rref(a.tolist(), p)[1])
+        assert len(eliminated) == done
+    # a matrix cleared from the memo is eliminated again
+    assert len(eliminated) > len(mats)

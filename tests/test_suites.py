@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from fatpoints.formulas import k
 from fatpoints.schemes import virtual_dim
 from fatpoints.suites import (
     _HANDLERS,
@@ -17,6 +18,7 @@ from fatpoints.suites import (
     run_suite,
     suite_names,
 )
+from test_ffield_oracle import fresh_memo
 
 PINNED_REPORT = Path(__file__).resolve().parent / "data" / "suite_report.json"
 
@@ -144,6 +146,19 @@ def test_small_ah_grid():
     assert len(res.cases) == 8
     quadric = next(c for c in res.cases if c.id == "n2-d2-h2")
     assert quadric.observed["special"] and quadric.observed["predicted"]
+
+
+def test_ah_suite_eliminates_each_chain_once_and_reports_in_grid_order(monkeypatch):
+    # Each (n, d) chain runs from its top down, so with an empty memo the top's
+    # elimination answers every smaller h of the chain at that (prime, seed).
+    eliminated = fresh_memo(monkeypatch)
+    res = run_ah_suite(n_max=2, d_max=4)
+    assert res.passed
+    assert [c.id for c in res.cases] == [
+        f"n{n}-d{d}-h{h}" for n in (1, 2) for d in (2, 3, 4) for h in range(1, int(k(n, d)) + 1)
+    ]
+    chains = 2 * 3 * len(res.primes) * len(res.seeds)
+    assert len(eliminated) == chains
 
 
 def test_ah_suite_runs_through_run_suite(tmp_path):
