@@ -6,6 +6,9 @@ as grids of canonical representatives (first nonzero coordinate 1), and counts
 the points over each target point. Generic fiber size 1 across two primes is
 the working notion of birationality; a small image signals fiber type.
 
+Every census runs through census_of, cached per (spec, prime, seed, budget),
+which also checks that each distinct assigned point is a rational base point.
+
 Evaluation contracts the forms against a power table in float64 BLAS, one
 variable at a time. A stage sums d+1 residue products, at most (d+1)(p-1)^2,
 which is exact while at most 2^52; larger p are refused. An image x is keyed
@@ -34,7 +37,7 @@ import numpy as np
 from .ffield import _EXACT, MAX_MODULUS, FieldMatrix, _reduce, is_prime, kernel_basis, rank
 from .formulas import is_perfect, k
 from .monomials import MonomialBasis, _power_table, monomial_basis
-from .schemes import SchemeSpec, condition_matrix, double_points
+from .schemes import SchemeSpec, condition_matrix, double_points, sample
 
 DEFAULT_BUDGET = 1e10
 TAU_BIRATIONAL = 0.7
@@ -92,7 +95,11 @@ class FiberCensus:
     image_size: int
     histogram: dict[int, int]  # fiber size -> number of image points
     fraction_unique: float
-    verdict: str = ""
+    verdict: str = ""  # classify's, unless given
+
+    def __post_init__(self) -> None:
+        if not self.verdict:
+            object.__setattr__(self, "verdict", classify(self))
 
     def as_dict(self) -> dict:
         return {
@@ -190,7 +197,7 @@ def fiber_census(m: RationalMap, budget: float = DEFAULT_BUDGET) -> FiberCensus:
     image_size = int(freq[1:].sum())
     total = domain - base
     fraction_unique = int(freq[1]) / float(total) if total else 0.0
-    census = FiberCensus(
+    return FiberCensus(
         prime=p,
         domain_size=domain,
         base_points=base,
@@ -198,7 +205,6 @@ def fiber_census(m: RationalMap, budget: float = DEFAULT_BUDGET) -> FiberCensus:
         histogram=histogram,
         fraction_unique=fraction_unique,
     )
-    return FiberCensus(**{**census.__dict__, "verdict": classify(census)})
 
 
 def _refusal(n: int, d: int, p: int, budget: float) -> str | None:
@@ -271,21 +277,28 @@ def classify(c: FiberCensus) -> str:
     return "inconclusive"
 
 
+def census_of(
+    spec: SchemeSpec, prime: int, seed: int = 0, budget: float = DEFAULT_BUDGET
+) -> FiberCensus:
+    """Census of the map of the system spec at (prime, seed); cached, so heavy runs are shared."""
+    return _census_cached(spec, prime, seed, float(budget))
+
+
 def census_for_doubles(
     n: int, d: int, h: int, prime: int, seed: int = 0, budget: float = DEFAULT_BUDGET
 ) -> FiberCensus:
-    """Census of the map of L_{n,d}(2^h); cached, the heavy runs are shared."""
-    return _census_cached(n, d, h, prime, seed, float(budget))
+    """Census of the map of L_{n,d}(2^h)."""
+    return census_of(double_points(n, d, h), prime, seed, budget)
 
 
 @lru_cache(maxsize=None)
-def _census_cached(n: int, d: int, h: int, prime: int, seed: int, budget: float) -> FiberCensus:
-    spec = double_points(n, d, h)
-    m = map_from_system(spec, prime, seed)
-    census = fiber_census(m, budget)
-    if h and census.base_points < h:
+def _census_cached(spec: SchemeSpec, prime: int, seed: int, budget: float) -> FiberCensus:
+    census = fiber_census(map_from_system(spec, prime, seed), budget)
+    # every assigned point is a rational base point; equal fixed points are one
+    points = len({v.tobytes() for v in sample(spec, prime, seed).points})
+    if census.base_points < points:
         raise ValueError(
-            f"sanity: {h} assigned double points must be rational base points, "
+            f"sanity: {points} assigned points must be rational base points, "
             f"census found {census.base_points}"
         )
     return census
@@ -340,13 +353,9 @@ def identifiability_verdict(
         status = "identifiable"
     else:
         status = "not-identifiable"
-    censuses: tuple[FiberCensus, ...] = ()
-    if corroborate and n in CENSUS_PRIMES:
-        runs = []
-        for p in CENSUS_PRIMES[n]:
-            if _refusal(n, d, p, budget) is None:
-                runs.append(census_for_doubles(n, d, s - 1, p, budget=budget))
-        censuses = tuple(runs)
+    primes = CENSUS_PRIMES.get(n, ()) if corroborate else ()
+    censuses = tuple(census_for_doubles(n, d, s - 1, p, budget=budget)
+                     for p in primes if _refusal(n, d, p, budget) is None)
     return IdentifiabilityVerdict(n, d, status, s, censuses)
 
 

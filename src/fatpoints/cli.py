@@ -155,7 +155,7 @@ def _cmd_cremona(args):
     if not primes:
         raise UsageError(f"no census primes for n={spec.n}; give --prime")
     # every prime gives a verdict, and all give the same one
-    case = {"id": args.spec, "op": "cremona", "spec": args.spec,
+    case = {"id": args.spec, "op": "census", "spec": args.spec, "primes": primes,
             "expected": {"verdicts": {"ne": "inconclusive"}, "agree": True}}
     return [run_cases("cremona", [case], primes, [args.seed], args.budget)]
 
@@ -243,7 +243,7 @@ def _seq_lines(case):
     return lines + ["properties: " + ", ".join(f"{k2}={v}" for k2, v in props.items())]
 
 
-def _cremona_lines(case):
+def _census_lines(case):
     o = case.observed
     lines = [f"{case.params['spec']} @ p={c['prime']}: verdict={c['verdict']} "
              f"fraction_unique={c['fraction_unique']:.6f} image={c['image_size']} "
@@ -276,7 +276,7 @@ def _castelnuovo_lines(case):
 _LINES = {
     "dim": _dim_lines,
     "seq": _seq_lines,
-    "cremona": _cremona_lines,
+    "census": _census_lines,
     "identif": _identif_lines,
     "merge": _collide_lines,
     "chords": _collide_lines,

@@ -185,9 +185,11 @@ class PrimeBoundError(ValueError):
     """The prime is at most the degree or a multiplicity of the system."""
 
 
-def _point_rng(prime: int, seed: int, index: int) -> np.random.Generator:
-    # per-point substream: appending points never moves earlier samples
-    return np.random.default_rng(np.random.SeedSequence([prime, seed, index]))
+def _point_rng(prime: int, seed: int, index: int, attempt: int = 0) -> np.random.Generator:
+    # per-point substream: appending points never moves earlier samples; the
+    # redraw number `attempt` of a repeated point takes that child of the stream
+    spawn_key = (attempt,) if attempt else ()
+    return np.random.default_rng(np.random.SeedSequence([prime, seed, index], spawn_key=spawn_key))
 
 
 def sample(spec: SchemeSpec, prime: int, seed: int) -> SampledScheme:
@@ -195,9 +197,12 @@ def sample(spec: SchemeSpec, prime: int, seed: int) -> SampledScheme:
 
     Replays exactly for equal (spec placement list, prime, seed); extending the
     point list leaves earlier samples unchanged, which keeps a system and its
-    extensions on the same configuration. Each point is drawn once per process
-    by _sample_one, so the arrays returned are read-only and may be shared
-    between calls.
+    extensions on the same configuration. A randomly placed point (generic, on
+    H_k with k >= 1, or near a cluster) that repeats an earlier point is drawn
+    again, so it imposes its own conditions; a point whose locus the earlier
+    points already fill is refused. Fixed points (explicit, on H_0) may repeat.
+    Each point is drawn once per process by _sample_one, so the arrays
+    returned are read-only and may be shared between calls.
     """
     p = check_modulus(prime)
     bound = max([spec.d] + [pt.multiplicity for pt in spec.points])
@@ -205,13 +210,31 @@ def sample(spec: SchemeSpec, prime: int, seed: int) -> SampledScheme:
         raise PrimeBoundError(f"prime {p} must exceed max(degree, multiplicities) = {bound}")
     pts: list[np.ndarray] = []
     dirs: list[tuple[np.ndarray, ...]] = []
+    taken: set[bytes] = set()  # the representatives drawn so far
     for idx, pt in enumerate(spec.points):
         centers = tuple(
             (pl.center, tuple(pts[pl.center].tolist()))
             for pl in (pt.placement, *pt.directions)
             if pl.kind == CLUSTER
         )
-        coords, vecs = _sample_one(p, seed, idx, spec.n, pt, centers)
+        coords, vecs = _sample_one(p, seed, idx, spec.n, pt, centers, 0)
+        key = coords.tobytes()
+        attempt = 0
+        while key in taken:
+            # the point is drawn from the flag member H_k (H_n = P^n); k = 0 is a fixed point
+            kind = pt.placement.kind
+            k = pt.placement.dim if kind == SUBSPACE else 0 if kind == EXPLICIT else spec.n
+            if not k:
+                break
+            size = (p ** (k + 1) - 1) // (p - 1)
+            if len({v.tobytes() for v in pts if not v[k + 1 :].any()}) >= size:
+                locus = f"H_{k}" if k < spec.n else f"P^{k}"
+                raise ValueError(f"point {idx}: the earlier points take all {size} points "
+                                 f"of {locus}(F_{p}), so it cannot be placed apart from them")
+            attempt += 1
+            coords, vecs = _sample_one(p, seed, idx, spec.n, pt, centers, attempt)
+            key = coords.tobytes()
+        taken.add(key)
         pts.append(coords)
         dirs.append(vecs)
     return SampledScheme(tuple(pts), tuple(dirs))
@@ -220,16 +243,16 @@ def sample(spec: SchemeSpec, prime: int, seed: int) -> SampledScheme:
 # a draw takes about 250-380 bytes, so the cache holds at most about 1.6 MB
 @lru_cache(maxsize=4096)
 def _sample_one(
-    prime: int, seed: int, index: int, n: int, point: FatPoint, centers: tuple
+    prime: int, seed: int, index: int, n: int, point: FatPoint, centers: tuple, attempt: int
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """The read-only coordinates and direction vectors of point `index`.
 
-    The key is everything the draw reads: the substream (prime, seed, index),
-    n, the point's placement and directions, and the coordinates of the
-    earlier points a cluster placement refers to, as (index, coords) pairs.
+    The key is everything the draw reads: the substream (prime, seed, index,
+    attempt), n, the point's placement and directions, and the coordinates of
+    the earlier points a cluster placement refers to, as (index, coords) pairs.
     So a hit returns exactly what a fresh draw would.
     """
-    rng = _point_rng(prime, seed, index)
+    rng = _point_rng(prime, seed, index, attempt)
     earlier = {c: np.array(v, dtype=np.int64) for c, v in centers}
     coords = _sample_point(point.placement, n, prime, rng, earlier)
     vecs = tuple(

@@ -18,14 +18,7 @@ from importlib import resources
 import numpy as np
 
 from ._version import __version__
-from .census import (
-    DEFAULT_BUDGET,
-    census_for_doubles,
-    fiber_census,
-    identifiability_verdict,
-    map_from_system,
-    quadric_rank,
-)
+from .census import DEFAULT_BUDGET, census_of, identifiability_verdict, quadric_rank
 from .collisions import collision1_check, indip_check, limit_multiplicity_check
 from .ffield import kernel_basis
 from .formulas import hs_sequences, k, plane_genus, r, verify_sequence_properties
@@ -282,13 +275,13 @@ def _op_genus(case, primes, seeds, budget) -> dict:
 
 
 def _op_census(case, primes, seeds, budget) -> dict:
-    runs = [
-        census_for_doubles(
-            case["n"], case["d"], case["h"], p, seed=seeds[0],
-            budget=budget,
-        )
-        for p in case["primes"]
-    ]
+    """Censuses at the case's own primes of the system named by `spec`, or by
+    `n`, `d` and `h` for L(n,d;2^h)."""
+    if "spec" in case and {"n", "d", "h"} & set(case):
+        raise ValueError(f"census case {case['id']!r} names its system by both spec and n, d, h")
+    spec = (parse_spec(case["spec"]) if "spec" in case
+            else double_points(case["n"], case["d"], case["h"]))
+    runs = [census_of(spec, p, seeds[0], budget) for p in case["primes"]]
     verdicts = [c.verdict for c in runs]
     fractions = [round(c.fraction_unique, 6) for c in runs]
     conserved = all(
@@ -304,15 +297,8 @@ def _op_census(case, primes, seeds, budget) -> dict:
         "image_sizes": [c.image_size for c in runs],
         "base_points": [c.base_points for c in runs],
         "conserved": conserved,
+        "censuses": [c.as_dict() for c in runs],
     }
-
-
-def _op_cremona(case, primes, seeds, budget) -> dict:
-    spec = parse_spec(case["spec"])
-    runs = [fiber_census(map_from_system(spec, p, seeds[0]), budget) for p in primes]
-    verdicts = [c.verdict for c in runs]
-    return {"verdicts": verdicts, "agree": len(set(verdicts)) == 1,
-            "censuses": [c.as_dict() for c in runs]}
 
 
 def _op_identif(case, primes, seeds, budget) -> dict:
@@ -357,7 +343,6 @@ _HANDLERS = {
     "cubic-flag": _op_cubic_flag,
     "genus": _op_genus,
     "census": _op_census,
-    "cremona": _op_cremona,
     "identif": _op_identif,
     "seq": _op_seq,
     "merge": _op_merge,

@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 import fatpoints
+from fatpoints import census
 from fatpoints.cli import main
 from fatpoints.suites import load_manifest, run_suite
 
@@ -41,6 +43,19 @@ def test_dim_text_output(capsys):
     code, out, _ = run(capsys, ["dim", "L(3,3;2^4)"])
     assert code == 0
     assert "virtual=3 expected=3 computed=3" in out
+
+
+def test_dim_redraws_a_repeated_point(capsys):
+    # seed 0 at p = 7 first draws one point twice, which read computed=5 special
+    code, out, _ = run(capsys, ["dim", "L(2,5;2^6)", "--prime", "7", "--seed", "0"])
+    assert (code, out) == (0, "L(2,5;2^6): virtual=2 expected=2 computed=2\n")
+
+
+def test_dim_refuses_a_locus_with_no_free_point(capsys):
+    code, out, err = run(capsys, ["dim", "L(2,5;1^9@H1)", "--prime", "7", "--seed", "0"])
+    assert (code, out) == (1, "")
+    assert err == ("error: point 8: the earlier points take all 8 points of H_1(F_7), "
+                   "so it cannot be placed apart from them\n")
 
 
 def test_dim_json_payload(capsys):
@@ -272,19 +287,81 @@ def test_cremona_reports_its_seed(capsys):
     assert payload["seeds"] == [0]
 
 
+def fresh_census_cache(monkeypatch):
+    """A fresh census cache, so that no census cached earlier answers for a stub."""
+    fresh = lru_cache(maxsize=None)(census._census_cached.__wrapped__)
+    monkeypatch.setattr(census, "_census_cached", fresh)
+
+
 def test_cremona_prime_disagreement_exit_1(capsys, monkeypatch):
-    real = fatpoints.suites.fiber_census
+    real = census.fiber_census
 
     def fiber_census(m, budget):
         c = real(m, budget)
         return replace(c, verdict="birational") if m.prime == 11 else c
 
-    monkeypatch.setattr(fatpoints.suites, "fiber_census", fiber_census)
+    monkeypatch.setattr(census, "fiber_census", fiber_census)
+    fresh_census_cache(monkeypatch)
     code, out, _ = run(capsys, ["cremona", "L(2,2;2)", "--prime", "7", "--prime", "11"])
     assert code == 1
     lines = out.splitlines()
     assert "verdict=fiber-type" in lines[0] and "verdict=birational" in lines[1]
     assert lines[2] == "PRIME DISAGREEMENT: birational, fiber-type"
+
+
+def test_cremona_runs_one_cached_census_per_prime(capsys, monkeypatch):
+    calls = []
+    real = census.fiber_census
+
+    def fiber_census(m, budget):
+        calls.append(m.prime)
+        return real(m, budget)
+
+    monkeypatch.setattr(census, "fiber_census", fiber_census)
+    fresh_census_cache(monkeypatch)
+    first = run(capsys, ["cremona", "L(2,2;2)", "--prime", "7"])
+    assert run(capsys, ["cremona", "L(2,2;2)", "--prime", "7"]) == first
+    assert first[0] == 0 and calls == [7]
+
+
+def test_census_of_a_spec_checks_its_base_points(capsys, monkeypatch, tmp_path):
+    def no_base_points(m, budget):
+        n = census.projective_count(m.n, m.prime)
+        return census.FiberCensus(m.prime, n, 0, n, {1: n}, 1.0, "birational")
+
+    monkeypatch.setattr(census, "fiber_census", no_base_points)
+    fresh_census_cache(monkeypatch)
+    manifest = {"suites": {"known": {"seeds": [0], "cases": [
+        {"id": "standard", "op": "census", "spec": "L(2,2;1^3)", "primes": [499]}]}}}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    code, out, err = run(capsys, ["suite", "--manifest", str(path)])
+    assert (code, out) == (1, "")
+    assert err == "error: sanity: 3 assigned points must be rational base points, census found 0\n"
+
+
+def test_census_op_runs_a_spec_or_a_double_point_system_at_its_own_primes(capsys, tmp_path):
+    manifest = {"suites": {"known": {"seeds": [0], "cases": [
+        {"id": "standard", "op": "census", "spec": "L(2,2;1^3)", "primes": [499, 251],
+         "expected": {"verdict": "birational", "agree": True, "conserved": True}},
+        {"id": "pencil", "op": "census", "n": 1, "d": 3, "h": 1, "primes": [31],
+         "expected": {"verdict": "birational"}},
+    ]}}}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    code, payload, _ = run_json(capsys, ["suite", "--manifest", str(path)])
+    assert code == 0
+    assert payload["primes"] == [31, 251, 499]
+    standard, pencil = cases_of(payload)
+    assert [c["prime"] for c in standard["observed"]["censuses"]] == [499, 251]
+    assert standard["observed"]["base_points"] == [3, 3]
+    assert [c["prime"] for c in pencil["observed"]["censuses"]] == [31]
+    # a case that names its system twice is refused
+    manifest["suites"]["known"]["cases"][0]["n"] = 2
+    path.write_text(json.dumps(manifest))
+    code, out, err = run(capsys, ["suite", "--manifest", str(path)])
+    assert (code, out) == (1, "")
+    assert err == "error: census case 'standard' names its system by both spec and n, d, h\n"
 
 
 def test_cremona_defaults_to_the_census_primes(capsys):

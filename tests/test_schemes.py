@@ -197,6 +197,34 @@ def test_sample_prime_guards():
         sample(parse_spec("L(2,3;2)"), 32004, 0)
 
 
+def test_sample_redraws_a_repeated_random_point():
+    # at p = 7, seed 0 first draws point 4 equal to point 3
+    spec = parse_spec("L(2,5;2^6)")
+    first = [schemes._sample_point(pt.placement, 2, 7, schemes._point_rng(7, 0, i), {})
+             for i, pt in enumerate(spec.points)]
+    assert np.array_equal(first[3], first[4])
+    sm = sample(spec, 7, 0)
+    assert len({v.tobytes() for v in sm.points}) == 6
+    # the redraw comes from the point's own child stream; no other point moves
+    redraw = schemes._sample_point(Placement.generic(), 2, 7, schemes._point_rng(7, 0, 4, 1), {})
+    assert np.array_equal(sm.points[4], redraw)
+    assert all(np.array_equal(sm.points[i], first[i]) for i in (0, 1, 2, 3, 5))
+
+
+def test_sample_keeps_fixed_repeats_and_refuses_a_full_locus():
+    # H_0 is one point, and equal explicit coordinates are one point
+    assert np.array_equal(*sample(parse_spec("L(2,5;1^2@H0)"), 7, 0).points)
+    explicit = FatPoint(Placement.explicit((1, 2, 3)), 1)
+    assert np.array_equal(*sample(SchemeSpec(2, 3, (explicit, explicit)), 7, 0).points)
+    # H_1(F_7) has 8 points: eight points on it take them all, a ninth is refused
+    full = sample(parse_spec("L(2,5;1^8@H1)"), 7, 0)
+    assert len({v.tobytes() for v in full.points}) == 8
+    with pytest.raises(ValueError, match=r"point 8: .* all 8 points of H_1\(F_7\)"):
+        sample(parse_spec("L(2,5;1^9@H1)"), 7, 0)
+    with pytest.raises(ValueError, match=r"all 8 points of P\^1\(F_7\)"):
+        sample(parse_spec("L(1,5;1^9)"), 7, 0)
+
+
 def test_condition_matrix_shapes_and_rank():
     m = condition_matrix(parse_spec("L(2,4;2^5)"), P, 0)
     assert m.shape == (15, 15)
