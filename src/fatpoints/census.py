@@ -9,20 +9,23 @@ the working notion of birationality; a small image signals fiber type.
 Every census runs through census_of, cached per (spec, prime, seed, budget),
 which also checks that each distinct assigned point is a rational base point.
 
-Evaluation contracts the forms against a power table in float64 BLAS, one
-variable at a time. A stage sums d+1 residue products, at most (d+1)(p-1)^2,
-which is exact while at most 2^52; larger p are refused. An image x is keyed
+Evaluation contracts the forms against a power table in floating-point BLAS,
+one variable at a time. A stage sums d+1 residue products, at most
+(d+1)(p-1)^2. The residues are float32 when that sum is at most 2^23, which
+covers every packaged census, and float64 otherwise, exact while at most 2^52;
+larger p are refused. Either bound keeps every partial sum an integer the
+format holds exactly, so BLAS may sum in any order. An image x is keyed
 by its position in the canonical enumeration (charts in order, x_n fastest).
 If x_0 != 0 it is the Horner sum in base p of y_j = x_j inv(x_0) mod p over
 j = 1..n; if x_0 = 0 it is p^n, the size of chart 0, plus the position of
 (x_1..x_n) in P^{n-1}, so a base point (every coordinate 0) lands on
-|P^n(F_p)| = p^n + ... + p + 1. The y_j are taken on the float64 residues by
-`ffield._reduce`, exact as x_j inv(x_0) <= (p-1)^2 < 2^52; only the positions
-are int64 (p^(n+1) > 2^63 is refused). The counts are one
-int64 array of |P^n(F_p)| + 1 entries, 8 (|P^n(F_p)| + 1) bytes, refused when
-it cannot be allocated; besides it a census holds one chart's evaluation
-tensors, over a trailing grid of at most 2^18 points, and at the end a
-histogram as long as the largest fiber.
+|P^n(F_p)| = p^n + ... + p + 1. The y_j are taken on the residues by
+`ffield._reduce`, exact as x_j inv(x_0) <= (p-1)^2 is within the same bound;
+only the positions are int64 (p^(n+1) > 2^63 is refused). The counts are one
+array of |P^n(F_p)| + 1 entries, int32 (4 bytes each) while |P^n(F_p)| < 2^31
+and int64 otherwise, refused when it cannot be allocated; besides it a census
+holds one chart's evaluation tensors, over a trailing grid of at most 2^18
+points, and at the end a histogram as long as the largest fiber.
 """
 
 from __future__ import annotations
@@ -118,14 +121,17 @@ def _chart_images(m: RationalMap, chunk: int = _CHUNK):
 
     Chart lead = k is x_0..x_{k-1} = 0, x_k = 1 over F_p^{n-k} (x_n fastest). Its
     forms, a tensor over the exponents of x_{k+1}..x_n, are contracted one variable
-    at a time against V[e, x] = x^e mod p in float64 BLAS, reduced after each stage
+    at a time against V[e, x] = x^e mod p in BLAS, reduced after each stage
     of d+1 residue products: once per chart for the trailing variables whose grid
     fits in a chunk, then per value of each leading variable, one chunk per
-    leading point. Yields float64 residues, one row per point.
+    leading point. Yields residues of _residue_dtype(d, p), exact while every
+    stage sum stays within its bound (2^23 for float32, 2^52 for float64), one
+    row per point.
     """
     n, d, p = m.n, m.d, m.prime
     size = d + 1
-    vand = _power_table(np.arange(p, dtype=np.int64), d, p).T.astype(np.float64)
+    dtype = _residue_dtype(d, p)
+    vand = _power_table(np.arange(p, dtype=np.int64), d, p).T.astype(dtype)
     exps = m.basis.exponent_array
     for lead in range(n + 1):
         free = n - lead
@@ -134,7 +140,7 @@ def _chart_images(m: RationalMap, chunk: int = _CHUNK):
             trail += 1
         keep = ~exps[:, :lead].any(axis=1)
         flat = exps[keep, lead + 1 :] @ size ** np.arange(free - 1, -1, -1)
-        tensor = np.zeros((n + 1, size**free))
+        tensor = np.zeros((n + 1, size**free), dtype=dtype)
         tensor[:, flat] = m.coeffs[:, keep] % p
         # axes: leading exponents, forms, trailing exponents
         lead_axes = free - trail
@@ -154,8 +160,10 @@ def _leading_values(tensor: np.ndarray, vand: np.ndarray, p: int):
 
 def _positions(vals: np.ndarray, p: int, inv_table: np.ndarray) -> np.ndarray:
     """Position in the canonical enumeration of P^n(F_p) of each column of the
-    float64 residues vals (see the module docstring); a zero column lands on
-    |P^n(F_p)|."""
+    residues vals (see the module docstring); a zero column lands on
+    |P^n(F_p)|. vals and inv_table share a float dtype, float32 only while
+    (p-1)^2 <= 2^23 and float64 while (p-1)^2 <= 2^52, so each product
+    x_j inv(x_0) is reduced exactly."""
     inv = inv_table[vals[0].astype(np.intp)]  # 0 where x_0 = 0
     idx = np.zeros(vals.shape[1], dtype=np.int64)
     for row in vals[1:]:
@@ -180,19 +188,22 @@ def fiber_census(m: RationalMap, budget: float = DEFAULT_BUDGET) -> FiberCensus:
             refusal += "; " + (f"largest affordable prime is {smaller}" if smaller
                                else f"no prime above d = {m.d} fits it")
         raise ValueError(refusal)
-    inv_table = np.zeros(p)
+    inv_table = np.zeros(p, dtype=_residue_dtype(m.d, p))
     inv_table[1:] = [pow(x, -1, p) for x in range(1, p)]
+    dtype = _count_dtype(domain)
+    nbytes = dtype().itemsize * (domain + 1)
     try:
-        counts = np.zeros(domain + 1, dtype=np.int64)
+        counts = np.zeros(domain + 1, dtype=dtype)
     except MemoryError:
         raise ValueError(
-            f"census needs {8 * (domain + 1)} bytes ({8 * (domain + 1) / 2**30:.2f} GiB) "
+            f"census needs {nbytes} bytes ({nbytes / 2**30:.2f} GiB) "
             f"for its fiber counts at p={p}; use a smaller prime"
         ) from None
+    one = dtype(1)  # a typed 1: np.add.at takes a slow path for a Python int
     for imgs in _chart_images(m):
-        np.add.at(counts, _positions(imgs.T, p, inv_table), 1)
+        np.add.at(counts, _positions(imgs.T, p, inv_table), one)
     base = int(counts[domain])
-    freq = np.bincount(counts[:domain])
+    freq = _histogram(counts[:domain])
     histogram = {int(s): int(freq[s]) for s in np.flatnonzero(freq[1:]) + 1}
     image_size = int(freq[1:].sum())
     total = domain - base
@@ -205,6 +216,26 @@ def fiber_census(m: RationalMap, budget: float = DEFAULT_BUDGET) -> FiberCensus:
         histogram=histogram,
         fraction_unique=fraction_unique,
     )
+
+
+def _residue_dtype(d: int, p: int) -> type:
+    """float32 when a stage sum (d+1)(p-1)^2 is at most 2^23, else float64."""
+    return np.float32 if (d + 1) * (p - 1) ** 2 <= 2**23 else np.float64
+
+
+def _count_dtype(domain: int) -> type:
+    """int32 for the fiber counts of a domain below 2^31 points, else int64."""
+    return np.int32 if domain < 2**31 else np.int64
+
+
+def _histogram(counts: np.ndarray, chunk: int = _CHUNK) -> np.ndarray:
+    """np.bincount(counts), one slice of chunk counts at a time, so that no
+    intp copy of a narrow counts array is made whole."""
+    freq = np.zeros(int(counts.max(initial=0)) + 1, dtype=np.int64)
+    for start in range(0, len(counts), chunk):
+        part = np.bincount(counts[start : start + chunk])
+        freq[: len(part)] += part
+    return freq
 
 
 def _refusal(n: int, d: int, p: int, budget: float) -> str | None:

@@ -37,9 +37,9 @@ is cleared when full. A digest is trusted because a wrong hit needs a
 most 2^16 stored: a chance of at most 2^-112 per lookup.
 
 This module owns the residue arithmetic of the package: `_reduce` is the one
-float64 reduction mod p, shared by elimination and the census, and `normalize`
-the one projective representative, shared by sampling, kernel vectors and
-`_proportional`.
+floating-point reduction mod p, shared by elimination (float64) and the
+census (float32 or float64), and `normalize` the one projective
+representative, shared by sampling, kernel vectors and `_proportional`.
 """
 
 from __future__ import annotations
@@ -137,9 +137,11 @@ class FieldMatrix:
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p in place, for float64 integers 0 <= x <= 2^52.
+    """x mod p in place, for float64 integers 0 <= x <= 2^52, or float32
+    integers 0 <= x <= 2^23 (p a Python int, so x/p stays float32).
 
-    The correctly rounded quotient x/p is off by at most (x/p) 2^-53 <= 1/(2p).
+    With a mantissa of m bits (53, or 24 for float32) and x <= 2^(m-1), the
+    correctly rounded quotient x/p is off by at most (x/p) 2^-m <= 1/(2p).
     If p does not divide x, x/p lies at least 1/p from every integer, so
     q = floor(x/p) is exact; if p divides x, the quotient is exact. x - q*p is
     then exact too, as q*p <= x.

@@ -277,8 +277,6 @@ def _op_genus(case, primes, seeds, budget) -> dict:
 def _op_census(case, primes, seeds, budget) -> dict:
     """Censuses at the case's own primes of the system named by `spec`, or by
     `n`, `d` and `h` for L(n,d;2^h)."""
-    if "spec" in case and {"n", "d", "h"} & set(case):
-        raise ValueError(f"census case {case['id']!r} names its system by both spec and n, d, h")
     spec = (parse_spec(case["spec"]) if "spec" in case
             else double_points(case["n"], case["d"], case["h"]))
     runs = [census_of(spec, p, seeds[0], budget) for p in case["primes"]]
@@ -458,7 +456,9 @@ def run_suite(name: str, manifest: dict | None = None, budget: float | None = No
     runs its `cases` at its `primes`, or, when it names none, at the sorted
     union of its cases' `primes`. Every suite runs at its `seeds`; every
     census runs at `budget`, else at the suite's `budget`, else DEFAULT_BUDGET.
-    A suite with no case is refused, so it cannot pass vacuously.
+    A suite with no case is refused, so it cannot pass vacuously. Every case
+    is checked before any runs: its op, the types of its parameters, and that a
+    census case names its system once, by `spec` or by `n`, `d` and `h`.
     """
     manifest = load_manifest() if manifest is None else manifest
     if name not in suite_names(manifest):
@@ -476,6 +476,9 @@ def run_suite(name: str, manifest: dict | None = None, budget: float | None = No
         for key, kind in _PARAM_TYPES.items():
             if key in case:
                 case.typed(repr(key), case[key], kind)
+        if case["op"] == "census" and "spec" in case and {"n", "d", "h"} & set(case):
+            raise ValueError(f"census case {case.get('id')!r} names its system by both spec "
+                             "and n, d, h")
         if "primes" in case:  # a census case's own primes
             case.listed("primes")
     primes = (conf.listed("primes") if "primes" in conf

@@ -47,14 +47,17 @@ def canonical_points(n, p):
 
 
 def test_positions_follow_the_canonical_enumeration():
-    # any nonzero multiple of the i-th canonical point lands on i, zero on |P^n(F_p)|
+    # any nonzero multiple of the i-th canonical point lands on i, zero on |P^n(F_p)|;
+    # at either residue width, the last p holds products x_j inv(x_0) near its bound:
+    # (p-1)^2 <= 2^23 at 2039, and past it at 32003
     rng = np.random.default_rng(0)
-    for n, p in ((1, 7), (2, 5), (3, 3), (4, 3)):
-        pts = np.array(list(canonical_points(n, p)) + [(0,) * (n + 1)])
-        vals = (pts * rng.integers(1, p, (len(pts), 1)) % p).T.astype(np.float64)
-        inv_table = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.float64)
-        got = census._positions(vals, p, inv_table)
-        assert np.array_equal(got, np.arange(projective_count(n, p) + 1))
+    for dtype, large in ((np.float32, 2039), (np.float64, 32003)):
+        for n, p in ((1, 7), (2, 5), (3, 3), (4, 3), (1, large)):
+            pts = np.array(list(canonical_points(n, p)) + [(0,) * (n + 1)])
+            vals = (pts * rng.integers(1, p, (len(pts), 1)) % p).T.astype(dtype)
+            inv_table = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=dtype)
+            got = census._positions(vals, p, inv_table)
+            assert np.array_equal(got, np.arange(projective_count(n, p) + 1)), (dtype, n, p)
 
 
 def python_images(m, pt):
@@ -129,6 +132,56 @@ def test_fiber_census_matches_python_census_on_random_maps(data):
     m = RationalMap(n, d, p, coeffs)
     c = fiber_census(m)
     assert (c.base_points, c.image_size, c.histogram, c.fraction_unique) == python_census(m)
+
+
+# The last prime whose stage sums (d+1)(p-1)^2 stay at most 2^23 runs on
+# float32 residues, the next prime on float64. At d = 127, p = 257 the sum is
+# exactly 2^23; at 32003 float32 sums would be inexact.
+@pytest.mark.parametrize("d, p, width", [
+    (1, 2039, np.float32), (1, 2053, np.float64), (3, 1447, np.float32), (3, 1451, np.float64),
+    (127, 257, np.float32), (128, 257, np.float64), (1, 32003, np.float64),
+])
+def test_pencil_census_matches_python_census_at_each_residue_width(d, p, width):
+    coeffs = np.random.default_rng(p + d).integers(0, p, size=(2, d + 1))
+    m = RationalMap(1, d, p, coeffs)
+    assert next(_chart_images(m)).dtype == width
+    c = fiber_census(m)
+    assert (c.base_points, c.image_size, c.histogram, c.fraction_unique) == python_census(m)
+
+
+def test_count_width_follows_the_domain():
+    # int32 holds every count of a domain below 2^31 points
+    assert census._count_dtype(2**31 - 1) is np.int32
+    assert census._count_dtype(2**31) is np.int64
+
+
+def test_fiber_census_counts_with_a_typed_one(monkeypatch):
+    # np.add.at takes a slow path for a Python int 1; the census passes a scalar of its dtype
+    scalars = []
+
+    class Add:
+        def at(self, counts, idx, one):
+            scalars.append((counts.dtype, type(one)))
+            np.add.at(counts, idx, one)
+
+    class Numpy:
+        add = Add()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(census, "np", Numpy())
+    fiber_census(RationalMap(2, 1, 7, np.eye(3, dtype=np.int64)))
+    assert scalars and set(scalars) == {(np.dtype(np.int32), np.int32)}
+
+
+@pytest.mark.parametrize("chunk", [64, census._CHUNK])
+def test_sliced_histogram_equals_one_bincount(chunk):
+    # fibers larger than a slice, so the histogram outgrows every slice's bincount
+    counts = np.random.default_rng(chunk).integers(0, 5, 3 * chunk + 7, dtype=np.int32)
+    counts[[3, 2 * chunk + 1]] = [chunk + 3, 2 * chunk]
+    assert np.array_equal(census._histogram(counts, chunk), np.bincount(counts))
+    assert np.array_equal(census._histogram(np.zeros(9, np.int32), chunk), [9])
 
 
 def test_all_zero_map_is_all_base_points():

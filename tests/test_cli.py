@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import fatpoints
-from fatpoints import census
+from fatpoints import census, suites
 from fatpoints.cli import main
 from fatpoints.suites import load_manifest, run_suite
 
@@ -679,6 +679,9 @@ MANIFEST_FAULTS = {
                         "suite 'extra' case 'bad' has 'd' '2', not an integer"),
     "spec not a string": ([], _genus_suite({"id": "bad", "op": "dim", "spec": 5}), 1,
                           "suite 'extra' case 'bad' has 'spec' 5, not a string"),
+    "census system named twice": ([], _genus_suite({"id": "both", "op": "census",
+                                                    "spec": "L(1,3;2)", "d": 3, "primes": [31]}),
+                                  1, "census case 'both' names its system by both spec and n, d, h"),
 }
 
 
@@ -700,6 +703,22 @@ def test_manifest_fault_is_one_error_line(capsys, tmp_path, fault, as_json):
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert phrase in err
+
+
+def test_census_system_named_twice_is_refused_before_any_case_runs(capsys, tmp_path,
+                                                                  monkeypatch):
+    ran = []
+    run_case = suites.run_case
+    monkeypatch.setattr(suites, "run_case", lambda case, *rest: ran.append(case["id"])
+                        or run_case(case, *rest))
+    _, manifest, _, phrase = MANIFEST_FAULTS["census system named twice"]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    code, out, err = run(capsys, ["suite", "--manifest", str(path)])
+    assert (code, out) == (1, "")
+    assert phrase in err
+    # the valid genus case before it did not run either
+    assert ran == []
 
 
 def test_argparse_exits():
@@ -771,7 +790,7 @@ def test_unallocatable_census_is_refused_without_traceback():
     env["OPENBLAS_NUM_THREADS"] = "1"
 
     def limit_address_space():
-        # the count array of P^2(F_32003) takes 7.63 GiB
+        # the int32 count array of P^2(F_32003) takes 3.82 GiB
         resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
     argv = [sys.executable, "-m", "fatpoints", "cremona", "L(2,2;2)", "--prime", "32003"]
@@ -782,5 +801,5 @@ def test_unallocatable_census_is_refused_without_traceback():
         assert out.returncode == 1, out.stderr
         assert "Traceback" not in out.stderr
         message = json.loads(out.stdout)["error"] if extra else out.stderr
-        assert "8193792112 bytes (7.63 GiB)" in message
+        assert "4096896056 bytes (3.82 GiB)" in message
         assert "smaller prime" in message
