@@ -25,7 +25,8 @@ only the positions are int64 (p^(n+1) > 2^63 is refused). The counts are one
 array of |P^n(F_p)| + 1 entries, int32 (4 bytes each) while |P^n(F_p)| < 2^31
 and int64 otherwise, refused when it cannot be allocated; besides it a census
 holds one chart's evaluation tensors, over a trailing grid of at most 2^18
-points, and at the end a histogram as long as the largest fiber.
+points, and at the end a histogram of at most 2^12 dense entries plus one per
+fiber of 2^12 points or more.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ TAU_FINITE = 0.6
 CENSUS_PRIMES = {1: (499, 251), 2: (499, 251), 3: (127, 131), 4: (31, 61), 5: (31, 17)}
 
 _CHUNK = 1 << 18
+_LARGE_FIBER = 1 << 12  # fiber sizes the histogram counts sparsely
 
 
 @dataclass(frozen=True)
@@ -203,16 +205,14 @@ def fiber_census(m: RationalMap, budget: float = DEFAULT_BUDGET) -> FiberCensus:
     for imgs in _chart_images(m):
         np.add.at(counts, _positions(imgs.T, p, inv_table), one)
     base = int(counts[domain])
-    freq = _histogram(counts[:domain])
-    histogram = {int(s): int(freq[s]) for s in np.flatnonzero(freq[1:]) + 1}
-    image_size = int(freq[1:].sum())
+    histogram = _histogram(counts[:domain])
     total = domain - base
-    fraction_unique = int(freq[1]) / float(total) if total else 0.0
+    fraction_unique = histogram.get(1, 0) / float(total) if total else 0.0
     return FiberCensus(
         prime=p,
         domain_size=domain,
         base_points=base,
-        image_size=image_size,
+        image_size=sum(histogram.values()),
         histogram=histogram,
         fraction_unique=fraction_unique,
     )
@@ -228,14 +228,26 @@ def _count_dtype(domain: int) -> type:
     return np.int32 if domain < 2**31 else np.int64
 
 
-def _histogram(counts: np.ndarray, chunk: int = _CHUNK) -> np.ndarray:
-    """np.bincount(counts), one slice of chunk counts at a time, so that no
-    intp copy of a narrow counts array is made whole."""
-    freq = np.zeros(int(counts.max(initial=0)) + 1, dtype=np.int64)
+def _histogram(counts: np.ndarray, chunk: int = _CHUNK) -> dict[int, int]:
+    """{fiber size: image points} over the nonzero counts, one slice of chunk
+    counts at a time, so that no intp copy of a narrow counts array is made
+    whole. Sizes below _LARGE_FIBER go through np.bincount; the few at or
+    above it (contracted loci) through np.unique, so the histogram is bounded
+    by the cut, not by the largest fiber."""
+    freq = np.zeros(_LARGE_FIBER + 1, dtype=np.int64)
+    large = []
     for start in range(0, len(counts), chunk):
-        part = np.bincount(counts[start : start + chunk])
-        freq[: len(part)] += part
-    return freq
+        part = counts[start : start + chunk]
+        if part.max(initial=0) >= _LARGE_FIBER:
+            large.append(part[part >= _LARGE_FIBER])
+            part = np.minimum(part, _LARGE_FIBER)
+        freq += np.bincount(part, minlength=_LARGE_FIBER + 1)
+    sizes = np.flatnonzero(freq[1:_LARGE_FIBER]) + 1
+    histogram = dict(zip(sizes.tolist(), freq[sizes].tolist()))
+    if large:
+        sizes, images = np.unique(np.concatenate(large), return_counts=True)
+        histogram.update(zip(sizes.tolist(), images.tolist()))
+    return histogram
 
 
 def _refusal(n: int, d: int, p: int, budget: float) -> str | None:

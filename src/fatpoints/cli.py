@@ -59,27 +59,18 @@ _seed = _number(int, lambda s: s >= 0, "seed must be a non-negative integer")
 _budget = _number(float, lambda b: b > 0, "budget must be a positive number")
 
 
-class _Repeat(argparse.Action):
-    """Repeatable option: the first use replaces the default, later uses extend."""
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        given = getattr(namespace, self.dest)
-        kept = [] if given is self.default else given
-        setattr(namespace, self.dest, [*kept, value])
-
-
 # each subcommand declares the options its command reads, by these keys
 _OPTIONS = {
     "primes": ("--prime", dict(
-        type=_prime, action=_Repeat, default=DEFAULT_PRIMES[:1], metavar="PRIME",
+        type=_prime, action="append", default=None, metavar="PRIME",
         help="working prime; repeatable (default 32003)")),
     "census_primes": ("--prime", dict(
-        type=_prime, action=_Repeat, default=None, metavar="PRIME",
+        type=_prime, action="append", default=None, metavar="PRIME",
         help="census prime; repeatable (default: the two census primes of dimension n)")),
     "prime": ("--prime", dict(
         type=_prime, default=DEFAULT_PRIMES[0], help="working prime (default 32003)")),
     "seeds": ("--seed", dict(
-        type=_seed, action=_Repeat, default=(0, 1, 2), metavar="SEED",
+        type=_seed, action="append", default=None, metavar="SEED",
         help="sampling seed; repeatable (default 0 1 2)")),
     "seed": ("--seed", dict(type=_seed, default=0, help="sampling seed (default 0)")),
     "budget": ("--budget", dict(
@@ -140,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_dim(args):
     cases = [{"id": text, "op": "dim", "spec": text, "expected": {"agree": True}}
              for text in args.spec]
-    return [run_cases("dim", cases, args.primes, args.seeds)]
+    return [run_cases("dim", cases, args.primes or DEFAULT_PRIMES[:1], args.seeds or (0, 1, 2))]
 
 
 def _cmd_seq(args):
@@ -198,7 +189,8 @@ def _cmd_collide(args):
 def _cmd_castelnuovo(args):
     case = {"id": args.spec, "op": "castelnuovo", "spec": args.spec,
             "expected": {"subadditive": True}}
-    return [run_cases("castelnuovo", [case], args.primes, args.seeds)]
+    return [run_cases("castelnuovo", [case], args.primes or DEFAULT_PRIMES[:1],
+                      args.seeds or (0, 1, 2))]
 
 
 def _cmd_suite(args):

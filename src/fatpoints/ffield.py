@@ -124,10 +124,6 @@ class FieldMatrix:
         self.a.setflags(write=False)
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return self.a.shape
-
-    @property
     def rows(self) -> int:
         return self.a.shape[0]
 

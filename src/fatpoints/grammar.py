@@ -9,9 +9,11 @@
 
 Whitespace is insignificant. "@Hk" places on the flag member H_k, "@ptK"
 references the K-th point (0-based, in expansion order). For directions it
-means "along the chord toward point K". For a point it adds a uniform offset
-in F_p^{n+1} to point K's coordinates; F_p has no notion of "near", so the
-point is distributed exactly like a generic one and is not tied to point K.
+means "along the chord toward point K": the direction is point K's sampled
+coordinates. F_p has no notion of "near", so an "@ptK" point is drawn as a
+generic point from its own stream and is not tied to point K. "@ptK" names
+the absolute point K, so equal consecutive items collapse like any others:
+"L(2,3;2,2@pt0,2@pt0)" prints as "L(2,3;2,2^2@pt0)".
 Examples: "L(3,3;2^4)", "L(5,4;3[10],2^8,2^6@H3)".
 
 The grammar cannot express explicit coordinates or mixed per-point direction
@@ -177,9 +179,6 @@ def print_spec(spec: SchemeSpec) -> str:
         j = i
         while j < len(pts) and _item_signature(pts[j]) == _item_signature(pt):
             j += 1
-        # cluster placements are position-dependent: never collapse them
-        if pt.placement.kind == CLUSTER or any(d.kind == CLUSTER for d in pt.directions):
-            j = i + 1
         run = j - i
         frag = str(pt.multiplicity)
         if pt.directions:

@@ -35,11 +35,11 @@ class Placement:
     """Where a point (or tangent direction) sits.
 
     kind "generic": uniform over P^n; "subspace": uniform over the flag member
-    H_dim; "explicit": the given coordinates; "cluster": for a point, the
-    referenced point's coordinates plus a uniform offset in F_p^{n+1}, and for a
-    direction, the chord toward the referenced point. F_p has no notion of
-    "near": a cluster point is distributed exactly like a generic one, and only
-    a chord direction ties a system to the referenced point. A limit experiment
+    H_dim; "explicit": the given coordinates; "cluster" (@ptK): sample()
+    resolves it before the draw. F_p has no notion of "near", so a cluster
+    point is drawn as a generic point from its own stream; a cluster direction
+    is the chord toward point K, which is point K's sampled coordinates. Only a
+    chord direction ties a system to the referenced point. A limit experiment
     needs explicit coordinates, as `collisions` builds them.
     """
 
@@ -197,12 +197,15 @@ def sample(spec: SchemeSpec, prime: int, seed: int) -> SampledScheme:
 
     Replays exactly for equal (spec placement list, prime, seed); extending the
     point list leaves earlier samples unchanged, which keeps a system and its
-    extensions on the same configuration. A randomly placed point (generic, on
-    H_k with k >= 1, or near a cluster) that repeats an earlier point is drawn
-    again, so it imposes its own conditions; a point whose locus the earlier
-    points already fill is refused. Fixed points (explicit, on H_0) may repeat.
-    Each point is drawn once per process by _sample_one, so the arrays
-    returned are read-only and may be shared between calls.
+    extensions on the same configuration. Each @ptK reference is resolved
+    before point i is drawn: an @ptK point is drawn as a generic point from its
+    own stream, and a chord direction toward point K is point K's sampled
+    coordinates, an explicit direction. A randomly placed point (generic, on H_k
+    with k >= 1, or @ptK) that repeats an earlier point is drawn again, so it
+    imposes its own conditions; a point whose locus the earlier points already
+    fill is refused. Fixed points (explicit, on H_0) may repeat. Each point is
+    drawn once per process by _sample_one, so the arrays returned are read-only
+    and may be shared between calls.
     """
     p = check_modulus(prime)
     bound = max([spec.d] + [pt.multiplicity for pt in spec.points])
@@ -212,12 +215,14 @@ def sample(spec: SchemeSpec, prime: int, seed: int) -> SampledScheme:
     dirs: list[tuple[np.ndarray, ...]] = []
     taken: set[bytes] = set()  # the representatives drawn so far
     for idx, pt in enumerate(spec.points):
-        centers = tuple(
-            (pl.center, tuple(pts[pl.center].tolist()))
-            for pl in (pt.placement, *pt.directions)
-            if pl.kind == CLUSTER
-        )
-        coords, vecs = _sample_one(p, seed, idx, spec.n, pt, centers, 0)
+        if any(pl.kind == CLUSTER for pl in (pt.placement, *pt.directions)):
+            pt = FatPoint(
+                Placement.generic() if pt.placement.kind == CLUSTER else pt.placement,
+                pt.multiplicity,
+                tuple(Placement.explicit(pts[dr.center]) if dr.kind == CLUSTER else dr
+                      for dr in pt.directions),
+            )
+        coords, vecs = _sample_one(p, seed, idx, spec.n, pt, 0)
         key = coords.tobytes()
         attempt = 0
         while key in taken:
@@ -232,7 +237,7 @@ def sample(spec: SchemeSpec, prime: int, seed: int) -> SampledScheme:
                 raise ValueError(f"point {idx}: the earlier points take all {size} points "
                                  f"of {locus}(F_{p}), so it cannot be placed apart from them")
             attempt += 1
-            coords, vecs = _sample_one(p, seed, idx, spec.n, pt, centers, attempt)
+            coords, vecs = _sample_one(p, seed, idx, spec.n, pt, attempt)
             key = coords.tobytes()
         taken.add(key)
         pts.append(coords)
@@ -243,60 +248,46 @@ def sample(spec: SchemeSpec, prime: int, seed: int) -> SampledScheme:
 # a draw takes about 250-380 bytes, so the cache holds at most about 1.6 MB
 @lru_cache(maxsize=4096)
 def _sample_one(
-    prime: int, seed: int, index: int, n: int, point: FatPoint, centers: tuple, attempt: int
+    prime: int, seed: int, index: int, n: int, point: FatPoint, attempt: int
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """The read-only coordinates and direction vectors of point `index`.
 
     The key is everything the draw reads: the substream (prime, seed, index,
-    attempt), n, the point's placement and directions, and the coordinates of
-    the earlier points a cluster placement refers to, as (index, coords) pairs.
-    So a hit returns exactly what a fresh draw would.
+    attempt), n, and the point's placement and directions, which sample() has
+    already freed of @ptK references. So a hit returns exactly what a fresh
+    draw would.
     """
     rng = _point_rng(prime, seed, index, attempt)
-    earlier = {c: np.array(v, dtype=np.int64) for c, v in centers}
-    coords = _sample_point(point.placement, n, prime, rng, earlier)
-    vecs = tuple(
-        _sample_direction(dr, coords, n, prime, rng, earlier) for dr in point.directions
-    )
+    coords = _sample_point(point.placement, n, prime, rng)
+    vecs = tuple(_sample_direction(dr, coords, n, prime, rng) for dr in point.directions)
     for v in (coords, *vecs):
         v.setflags(write=False)
     return coords, vecs
 
 
-def _sample_point(pl: Placement, n: int, p: int, rng, earlier) -> np.ndarray:
-    if pl.kind == EXPLICIT:
-        return normalize(pl.coords, p)
-    if pl.kind == CLUSTER:
-        center = earlier[pl.center]
-        while True:
-            w = rng.integers(0, p, n + 1)
-            v = (center + w) % p
-            if v.any():
-                return normalize(v, p)
+def _uniform(pl: Placement, n: int, p: int, rng) -> np.ndarray:
+    """A nonzero vector uniform on H_k, k the placement's flag member (n if generic)."""
     top = pl.dim if pl.kind == SUBSPACE else n
     while True:
         v = np.zeros(n + 1, dtype=np.int64)
         v[: top + 1] = rng.integers(0, p, top + 1)
         if v.any():
-            return normalize(v, p)
+            return v
 
 
-def _sample_direction(pl: Placement, at: np.ndarray, n: int, p: int, rng, earlier) -> np.ndarray:
+def _sample_point(pl: Placement, n: int, p: int, rng) -> np.ndarray:
+    return normalize(pl.coords if pl.kind == EXPLICIT else _uniform(pl, n, p, rng), p)
+
+
+def _sample_direction(pl: Placement, at: np.ndarray, n: int, p: int, rng) -> np.ndarray:
     if pl.kind == EXPLICIT:
         v = np.array(pl.coords, dtype=np.int64) % p
         if _proportional(at, v, p):
-            raise ValueError("explicit direction is proportional to its base point")
+            raise ValueError("direction is proportional to its base point")
         return v
-    if pl.kind == CLUSTER:
-        v = earlier[pl.center] % p
-        if _proportional(at, v, p):
-            raise ValueError("chord direction coincides with the base point")
-        return v
-    top = pl.dim if pl.kind == SUBSPACE else n
     while True:
-        v = np.zeros(n + 1, dtype=np.int64)
-        v[: top + 1] = rng.integers(0, p, top + 1)
-        if v.any() and not _proportional(at, v, p):
+        v = _uniform(pl, n, p, rng)
+        if not _proportional(at, v, p):
             return v
 
 

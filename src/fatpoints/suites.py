@@ -444,9 +444,9 @@ def run_prop23_suite(manifest: dict | None = None) -> SuiteResult:
     return run_suite("prop23", manifest)
 
 
-def run_theorem2_suite(manifest: dict | None = None, budget: float | None = None) -> SuiteResult:
+def run_theorem2_suite() -> SuiteResult:
     """Fiber censuses of the candidate self-maps, with cross-prime agreement."""
-    return run_suite("theorem2", manifest, budget)
+    return run_suite("theorem2")
 
 
 def run_suite(name: str, manifest: dict | None = None, budget: float | None = None) -> SuiteResult:

@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 from itertools import product
@@ -180,8 +181,37 @@ def test_sliced_histogram_equals_one_bincount(chunk):
     # fibers larger than a slice, so the histogram outgrows every slice's bincount
     counts = np.random.default_rng(chunk).integers(0, 5, 3 * chunk + 7, dtype=np.int32)
     counts[[3, 2 * chunk + 1]] = [chunk + 3, 2 * chunk]
-    assert np.array_equal(census._histogram(counts, chunk), np.bincount(counts))
-    assert np.array_equal(census._histogram(np.zeros(9, np.int32), chunk), [9])
+    assert census._histogram(counts, chunk) == _dense_histogram(counts)
+    assert census._histogram(np.zeros(9, np.int32), chunk) == {}
+
+
+def _dense_histogram(counts) -> dict:
+    """The nonzero fiber sizes of one whole np.bincount."""
+    freq = np.bincount(counts)
+    return {s: int(freq[s]) for s in range(1, len(freq)) if freq[s]}
+
+
+def test_histogram_counts_fibers_past_the_cut_sparsely():
+    # sizes on both sides of the cut, repeated across slices, and a slice below it
+    cut = census._LARGE_FIBER
+    counts = np.zeros(640, np.int32)
+    counts[:320] = np.random.default_rng(1).integers(0, 4, 320)
+    counts[[5, 70, 200, 300, 301]] = [cut - 1, cut, cut, cut + 1, 3 * cut]
+    hist = census._histogram(counts, 64)
+    assert hist == _dense_histogram(counts)
+    assert list(hist) == sorted(hist)
+
+
+def test_histogram_memory_is_bounded_by_the_cut():
+    # one fiber of 10^7 points: a dense histogram and its bincount would take 160 MB
+    counts = np.array([10**7], dtype=np.int32)
+    tracemalloc.start()
+    try:
+        assert census._histogram(counts) == {10**7: 1}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_all_zero_map_is_all_base_points():

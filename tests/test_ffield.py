@@ -64,7 +64,7 @@ def test_prime_field_rejects_moduli_beyond_int64_range():
 def test_field_matrix_reduces_entries():
     m = FieldMatrix([[7, -1], [14, 6]], 7)
     assert m.p == 7
-    assert m.shape == (2, 2)
+    assert (m.rows, m.cols) == (2, 2)
     assert m.a.min() >= 0 and m.a.max() < 7
     assert m.a[0, 1] == 6
 

@@ -104,7 +104,8 @@ def test_print_examples():
     assert print_spec(SchemeSpec(2, 4)) == "L(2,4;)"
 
 
-def test_print_never_collapses_cluster_items():
+def test_print_collapses_equal_cluster_items():
+    # @ptK names the absolute point K, so equal consecutive items are one run
     spec = SchemeSpec(
         2,
         3,
@@ -112,11 +113,14 @@ def test_print_never_collapses_cluster_items():
             FatPoint(Placement.generic(), 2),
             FatPoint(Placement.near_cluster(0), 2),
             FatPoint(Placement.near_cluster(0), 2),
+            FatPoint(Placement.generic(), 1, (Placement.near_cluster(1),)),
+            FatPoint(Placement.generic(), 1, (Placement.near_cluster(1),)),
         ),
     )
     text = print_spec(spec)
-    assert text == "L(2,3;2,2@pt0,2@pt0)"
+    assert text == "L(2,3;2,2^2@pt0,1[1@pt1]^2)"
     assert parse_spec(text) == spec
+    assert print_spec(parse_spec("L(2,3;2,2@pt0,2@pt0)")) == "L(2,3;2,2^2@pt0)"
 
 
 def test_print_rejects_inexpressible_specs():

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fatpoints.ffield import normalize, rank
+from fatpoints.ffield import rank
 from fatpoints.formulas import k
 from fatpoints.grammar import parse_spec
 from fatpoints import schemes
@@ -97,13 +97,14 @@ def test_sample_placements():
     assert not sm.points[1][3:].any()
     exp = SchemeSpec(2, 2, (FatPoint(Placement.explicit((4, 6, 0)), 1),))
     assert np.array_equal(sample(exp, 13, 0).points[0], [1, 8, 0])  # normalized
-    cl = parse_spec("L(3,3;2,2@pt0)")
+    cl = parse_spec("L(3,3;2,2@pt0,2[2@pt1])")
     sc = sample(cl, P, 0)
-    diff = (sc.points[1] - sc.points[0]) % P
-    assert diff.any()
-    # a cluster point is point 0 plus a uniform offset from its own substream
-    w = schemes._point_rng(P, 0, 1).integers(0, P, 4)
-    assert np.array_equal(sc.points[1], normalize((sc.points[0] + w) % P, P))
+    # an @ptK point is the generic draw of its own substream
+    generic = schemes._sample_point(Placement.generic(), 3, P, schemes._point_rng(P, 0, 1))
+    assert np.array_equal(sc.points[1], generic)
+    assert np.array_equal(sc.points[1], sample(parse_spec("L(3,3;2^2)"), P, 0).points[1])
+    # a chord direction toward point K is point K's coordinates
+    assert all(np.array_equal(v, sc.points[1]) for v in sc.directions[2])
 
 
 def _mixed_spec() -> SchemeSpec:
@@ -142,15 +143,19 @@ def test_sample_cold_equals_warm():
 
 
 def test_sample_cold_equals_an_uncached_draw():
-    # the draw behind the cache, inlined: _point_rng -> _sample_point -> _sample_direction
+    # the draw behind the cache, inlined: _point_rng -> _sample_point -> _sample_direction,
+    # with an @ptK point drawn as generic and a chord toward point K as its coordinates
     spec = _mixed_spec()
     schemes._sample_one.cache_clear()
     sm = sample(spec, P, 4)
     pts = []
     for idx, pt in enumerate(spec.points):
         rng = schemes._point_rng(P, 4, idx)
-        coords = schemes._sample_point(pt.placement, spec.n, P, rng, pts)
-        vecs = [schemes._sample_direction(dr, coords, spec.n, P, rng, pts) for dr in pt.directions]
+        pl = Placement.generic() if pt.placement.kind == schemes.CLUSTER else pt.placement
+        coords = schemes._sample_point(pl, spec.n, P, rng)
+        vecs = [pts[dr.center] if dr.kind == schemes.CLUSTER
+                else schemes._sample_direction(dr, coords, spec.n, P, rng)
+                for dr in pt.directions]
         pts.append(coords)
         assert np.array_equal(sm.points[idx], coords)
         assert all(np.array_equal(u, v) for u, v in zip(sm.directions[idx], vecs))
@@ -170,13 +175,15 @@ def test_sample_cache_keys_separate_draws():
     assert len(sample(double_points(4, 4, 2), P, 0).points[1]) == 5
     assert not np.array_equal(sample(double_points(3, 4, 2), 65521, 0).points[1], base)
     assert not np.array_equal(sample(double_points(3, 4, 2), P, 1).points[1], base)
-    # equal cluster FatPoints at one index: the center's coordinates must be in the key
-    moved = SchemeSpec(2, 3, (
-        FatPoint(Placement.explicit((1, 0, 0)), 1), FatPoint(Placement.near_cluster(0), 1)))
-    other = SchemeSpec(2, 3, (
-        FatPoint(Placement.explicit((1, 1, 0)), 1), FatPoint(Placement.near_cluster(0), 1)))
-    a, b = sample(moved, P, 0).points[1], sample(other, P, 0).points[1]
-    assert not np.array_equal(a, b)
+    # equal chord FatPoints at one index: point 0's coordinates must be in the key
+    chord = FatPoint(Placement.generic(), 2, (Placement.near_cluster(0),))
+    moved = SchemeSpec(2, 3, (FatPoint(Placement.explicit((1, 0, 0)), 1), chord))
+    other = SchemeSpec(2, 3, (FatPoint(Placement.explicit((1, 1, 0)), 1), chord))
+    schemes._sample_one.cache_clear()
+    a, b = sample(moved, P, 0), sample(other, P, 0)
+    assert np.array_equal(a.points[1], b.points[1])
+    assert np.array_equal(a.directions[1][0], [1, 0, 0])
+    assert np.array_equal(b.directions[1][0], [1, 1, 0])
 
 
 def test_sample_extension_hits_the_cache():
@@ -200,13 +207,13 @@ def test_sample_prime_guards():
 def test_sample_redraws_a_repeated_random_point():
     # at p = 7, seed 0 first draws point 4 equal to point 3
     spec = parse_spec("L(2,5;2^6)")
-    first = [schemes._sample_point(pt.placement, 2, 7, schemes._point_rng(7, 0, i), {})
+    first = [schemes._sample_point(pt.placement, 2, 7, schemes._point_rng(7, 0, i))
              for i, pt in enumerate(spec.points)]
     assert np.array_equal(first[3], first[4])
     sm = sample(spec, 7, 0)
     assert len({v.tobytes() for v in sm.points}) == 6
     # the redraw comes from the point's own child stream; no other point moves
-    redraw = schemes._sample_point(Placement.generic(), 2, 7, schemes._point_rng(7, 0, 4, 1), {})
+    redraw = schemes._sample_point(Placement.generic(), 2, 7, schemes._point_rng(7, 0, 4, 1))
     assert np.array_equal(sm.points[4], redraw)
     assert all(np.array_equal(sm.points[i], first[i]) for i in (0, 1, 2, 3, 5))
 
@@ -227,12 +234,12 @@ def test_sample_keeps_fixed_repeats_and_refuses_a_full_locus():
 
 def test_condition_matrix_shapes_and_rank():
     m = condition_matrix(parse_spec("L(2,4;2^5)"), P, 0)
-    assert m.shape == (15, 15)
+    assert (m.rows, m.cols) == (15, 15)
     r = condition_matrix(parse_spec("L(3,3;2^4)"), P, 0)
-    assert r.shape == (16, 20)
+    assert (r.rows, r.cols) == (16, 20)
     assert rank(r) == 16
     empty = condition_matrix(parse_spec("L(2,2;)"), P, 0)
-    assert empty.shape == (0, 6)
+    assert (empty.rows, empty.cols) == (0, 6)
 
 
 def test_condition_rows_counts_directions():

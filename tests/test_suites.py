@@ -34,9 +34,10 @@ def _without_elapsed(value):
 
 def test_manifest_loads_and_is_well_formed():
     man = load_manifest()
-    assert set(man["suites"]) == {
-        "ah", "collisions", "identifiability", "prop23", "section45", "sequences", "theorem2"}
-    for name in ("collisions", "identifiability", "prop23", "section45", "sequences", "theorem2"):
+    assert set(man["suites"]) == {"ah", "collisions", "identifiability", "known", "prop23",
+                                  "section45", "sequences", "theorem2"}
+    for name in ("collisions", "identifiability", "known", "prop23", "section45", "sequences",
+                 "theorem2"):
         conf = man["suites"][name]
         # only a suite whose ops read no seed (`seq`, `identif`) may name none
         assert conf["seeds"] or all(case["op"] in ("seq", "identif") for case in conf["cases"])
@@ -197,8 +198,8 @@ def test_pinned_report_names_the_manifest_suites_and_cases():
 
 
 def test_run_suite_dispatch():
-    assert suite_names() == (
-        "ah", "collisions", "identifiability", "prop23", "section45", "sequences", "theorem2")
+    assert suite_names() == ("ah", "collisions", "identifiability", "known", "prop23",
+                             "section45", "sequences", "theorem2")
     res = run_suite("prop23")
     assert res.name == "prop23"
     with pytest.raises(ValueError):
