@@ -133,7 +133,7 @@ def _chart_images(m: RationalMap, chunk: int = _CHUNK):
     n, d, p = m.n, m.d, m.prime
     size = d + 1
     dtype = _residue_dtype(d, p)
-    vand = _power_table(np.arange(p, dtype=np.int64), d, p).T.astype(dtype)
+    vand = _power_table(np.arange(p, dtype=np.int64), d, p).astype(dtype)
     exps = m.basis.exponent_array
     for lead in range(n + 1):
         free = n - lead

@@ -5,8 +5,10 @@ A degree-d form on P^n is a coefficient vector over the graded-lex basis
 (x_0 > x_1 > ... > x_n); every report prints coefficients in this order.
 Rows are residues mod p and assume p > d so the scaled derivative conditions
 stay faithful (derivative rows are not divided by alpha!; tangent rows divide
-by alpha! only for |alpha| = m < p). Residues are multiplied pairwise in int64,
-which is exact because every modulus is below ffield.MAX_MODULUS.
+by alpha! only for |alpha| = m < p). Residues are multiplied in int64, at most
+ffield._fold(p) of them before each reduction (4 at 32003, 2 at 2^31 - 1), so
+every product stays below 2^63; each reduction of an array is one
+ffield._floor_mod.
 
 Derivative rows use d^alpha x^beta = (beta)_alpha x^(beta - alpha), where
 (beta)_alpha = prod_i beta_i! / (beta_i - alpha_i)! is 0 unless alpha <= beta.
@@ -15,8 +17,10 @@ monomial beta - alpha evaluated there. `_derivative_table` caches the
 point-independent half per (n, d, k, p): gather[alpha, beta], the index of
 beta - alpha in monomial_basis(n, d-k), and scale = (beta)_alpha mod p, two
 int64 arrays of binom(n+k, n) x binom(n+d, n) entries. The rows of a batch of
-points are one evaluate_basis call, one gather and one `* scale % p`; both
-factors are residues below p < 2^31, so the int64 product is exact.
+points are one evaluate_basis call, one gather, one `*= scale` and one
+_floor_mod; both factors are residues, so the int64 product is exact. Each
+entry of a finished row is reduced once, and FieldMatrix does not reduce it
+again.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from math import factorial, perm, prod
 
 import numpy as np
 
-from .ffield import MAX_MODULUS, _proportional
+from .ffield import MAX_MODULUS, _floor_mod, _fold, _proportional
 
 
 def _exponents(n: int, d: int) -> tuple[tuple[int, ...], ...]:
@@ -69,16 +73,16 @@ class MonomialBasis:
         return len(self.exponents)
 
 
-def point_rows(basis: MonomialBasis, pts, m: int, directions, p: int) -> list[np.ndarray]:
-    """The condition rows of H m-fold points with tangent directions, one block per point.
+def point_rows(basis: MonomialBasis, pts, m: int, directions, p: int) -> np.ndarray:
+    """The condition rows of H m-fold points with tangent directions, in point order.
 
     pts has shape (H, n+1) and directions holds one sequence of vectors per point.
-    A point's block has first one row per alpha in monomial_basis(n, m-1), in that
-    order: (d/dx)^alpha of each basis monomial at the point (multiplicity >= m, by
-    the Euler relation as p > d). Then one row per direction v: the coefficient of
-    t^m in each monomial at pt + t*v, i.e. the sum over |alpha| = m of
-    v^alpha / alpha! times the order-m derivative rows; with the point rows it puts
-    v in the tangent cone. v must not be proportional to its point.
+    Each point's rows are first one row per alpha in monomial_basis(n, m-1), in
+    that order: (d/dx)^alpha of each basis monomial at the point (multiplicity
+    >= m, by the Euler relation as p > d). Then one row per direction v: the
+    coefficient of t^m in each monomial at pt + t*v, i.e. the sum over |alpha| = m
+    of v^alpha / alpha! times the order-m derivative rows; with the point rows it
+    puts v in the tangent cone. v must not be proportional to its point.
     """
     n, d = basis.n, basis.d
     if not 1 <= m < p < MAX_MODULUS:
@@ -94,15 +98,22 @@ def point_rows(basis: MonomialBasis, pts, m: int, directions, p: int) -> list[np
     if any(_proportional(pts[i], v, p) for i, v in zip(owner, vs)):
         raise ValueError("direction vector is proportional to the base point")
     rows = _derivative_rows(pts, d, m - 1, p)
+    h, k, width = rows.shape
     if not owner:
-        return list(rows)
+        return rows.reshape(h * k, width)
     orders = monomial_basis(n, m)
     # w[v, alpha] = v^alpha / alpha! mod p; alpha! is invertible since m < p
     inv_factorials = [pow(prod(map(factorial, a)), -1, p) for a in orders.exponents]
-    w = evaluate_basis(orders, vs, p) * np.array(inv_factorials, dtype=np.int64) % p
-    tangent = (w[:, :, None] * _derivative_rows(pts[owner], d, m, p) % p).sum(axis=1) % p
-    split = np.cumsum([len(dirs) for dirs in directions])[:-1]
-    return [np.vstack(block) for block in zip(rows, np.split(tangent, split))]
+    w = _floor_mod(evaluate_basis(orders, vs, p) * np.array(inv_factorials, dtype=np.int64), p)
+    terms = _floor_mod(w[:, :, None] * _derivative_rows(pts[owner], d, m, p), p)
+    # direction t of the flat list follows the k rows of points 0..owner[t] and
+    # the t directions before it, so it lands at row (owner[t] + 1) * k + t
+    tangent = np.zeros(h * k + len(owner), dtype=bool)
+    tangent[(np.array(owner) + 1) * k + np.arange(len(owner))] = True
+    out = np.empty((len(tangent), width), dtype=np.int64)
+    out[~tangent] = rows.reshape(h * k, width)
+    out[tangent] = _floor_mod(terms.sum(axis=1), p)
+    return out
 
 
 def _derivative_rows(pts: np.ndarray, d: int, k: int, p: int) -> np.ndarray:
@@ -111,7 +122,9 @@ def _derivative_rows(pts: np.ndarray, d: int, k: int, p: int) -> np.ndarray:
     The result has shape (H, |monomial_basis(n, k)|, |monomial_basis(n, d)|).
     """
     gammas, gather, scale = _derivative_table(pts.shape[1] - 1, d, k, p)
-    return evaluate_basis(gammas, pts, p)[:, gather] * scale % p
+    rows = evaluate_basis(gammas, pts, p)[:, gather]
+    rows *= scale
+    return _floor_mod(rows, p)
 
 
 @lru_cache(maxsize=None)
@@ -153,18 +166,29 @@ def evaluate_basis(basis: MonomialBasis, pts: np.ndarray, p: int) -> np.ndarray:
     if p >= MAX_MODULUS:
         raise ValueError(f"modulus {p} must be below {MAX_MODULUS} for int64 products")
     pts = np.asarray(pts, dtype=np.int64) % p
-    pw = _power_table(pts.ravel(), basis.d, p).reshape(*pts.shape, basis.d + 1)
-    vals = np.ones((len(pts), len(basis)), dtype=np.int64)
-    for i, col in enumerate(basis.exponent_array.T):
-        vals = vals * pw[:, i, col] % p
+    pw = _power_table(pts.ravel(), basis.d, p).T.reshape(*pts.shape, basis.d + 1)
+    # a product may hold _fold(p) residues, and a reduced one counts as one
+    step = _fold(p) - 1
+    cols = basis.exponent_array.T
+    vals = pw[:, 0, cols[0]]
+    for i in range(1, len(cols)):
+        vals *= pw[:, i, cols[i]]
+        if i % step == 0 or i == len(cols) - 1:
+            vals = _floor_mod(vals, p)
     return vals
 
 
 def _power_table(vec: np.ndarray, d: int, p: int) -> np.ndarray:
-    """pw[i, e] = vec[i]^e mod p for 0 <= e <= d."""
-    k = len(vec)
-    pw = np.ones((k, d + 1), dtype=np.int64)
-    for e in range(1, d + 1):
-        pw[:, e] = pw[:, e - 1] * vec % p
-    return pw
+    """pw[e, i] = vec[i]^e mod p for 0 <= e <= d, for residues vec.
 
+    Row e is row e-1 times vec, reduced after every _fold(p) - 1 rows as in
+    evaluate_basis; one pass at the end reduces the rows in between.
+    """
+    pw = np.empty((d + 1, len(vec)), dtype=np.int64)
+    pw[0] = 1
+    step = _fold(p) - 1
+    for e in range(1, d + 1):
+        np.multiply(pw[e - 1], vec, out=pw[e])
+        if e % step == 0:
+            pw[e] = _floor_mod(pw[e], p)
+    return _floor_mod(pw, p)

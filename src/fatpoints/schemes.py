@@ -203,7 +203,10 @@ def sample(spec: SchemeSpec, prime: int, seed: int) -> SampledScheme:
     coordinates, an explicit direction. A randomly placed point (generic, on H_k
     with k >= 1, or @ptK) that repeats an earlier point is drawn again, so it
     imposes its own conditions; a point whose locus the earlier points already
-    fill is refused. Fixed points (explicit, on H_0) may repeat. Each point is
+    fill is refused. Fixed points (explicit, on H_0) may repeat. An explicit
+    direction proportional to its point is refused only once the point's
+    coordinates are accepted, so a point whose first draw repeats point K is
+    redrawn even when it carries a chord toward K. Each point is
     drawn once per process by _sample_one, so the arrays returned are read-only
     and may be shared between calls.
     """
@@ -222,7 +225,7 @@ def sample(spec: SchemeSpec, prime: int, seed: int) -> SampledScheme:
                 tuple(Placement.explicit(pts[dr.center]) if dr.kind == CLUSTER else dr
                       for dr in pt.directions),
             )
-        coords, vecs = _sample_one(p, seed, idx, spec.n, pt, 0)
+        coords, vecs, degenerate = _sample_one(p, seed, idx, spec.n, pt, 0)
         key = coords.tobytes()
         attempt = 0
         while key in taken:
@@ -237,8 +240,10 @@ def sample(spec: SchemeSpec, prime: int, seed: int) -> SampledScheme:
                 raise ValueError(f"point {idx}: the earlier points take all {size} points "
                                  f"of {locus}(F_{p}), so it cannot be placed apart from them")
             attempt += 1
-            coords, vecs = _sample_one(p, seed, idx, spec.n, pt, attempt)
+            coords, vecs, degenerate = _sample_one(p, seed, idx, spec.n, pt, attempt)
             key = coords.tobytes()
+        if degenerate:
+            raise ValueError("direction is proportional to its base point")
         taken.add(key)
         pts.append(coords)
         dirs.append(vecs)
@@ -249,8 +254,9 @@ def sample(spec: SchemeSpec, prime: int, seed: int) -> SampledScheme:
 @lru_cache(maxsize=4096)
 def _sample_one(
     prime: int, seed: int, index: int, n: int, point: FatPoint, attempt: int
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The read-only coordinates and direction vectors of point `index`.
+) -> tuple[np.ndarray, tuple[np.ndarray, ...], bool]:
+    """The read-only coordinates and direction vectors of point `index`, and
+    whether an explicit direction is proportional to the point.
 
     The key is everything the draw reads: the substream (prime, seed, index,
     attempt), n, and the point's placement and directions, which sample() has
@@ -260,9 +266,11 @@ def _sample_one(
     rng = _point_rng(prime, seed, index, attempt)
     coords = _sample_point(point.placement, n, prime, rng)
     vecs = tuple(_sample_direction(dr, coords, n, prime, rng) for dr in point.directions)
+    degenerate = any(dr.kind == EXPLICIT and _proportional(coords, v, prime)
+                     for dr, v in zip(point.directions, vecs))
     for v in (coords, *vecs):
         v.setflags(write=False)
-    return coords, vecs
+    return coords, vecs, degenerate
 
 
 def _uniform(pl: Placement, n: int, p: int, rng) -> np.ndarray:
@@ -280,11 +288,9 @@ def _sample_point(pl: Placement, n: int, p: int, rng) -> np.ndarray:
 
 
 def _sample_direction(pl: Placement, at: np.ndarray, n: int, p: int, rng) -> np.ndarray:
+    """An explicit direction as given, reduced; a random one drawn apart from `at`."""
     if pl.kind == EXPLICIT:
-        v = np.array(pl.coords, dtype=np.int64) % p
-        if _proportional(at, v, p):
-            raise ValueError("direction is proportional to its base point")
-        return v
+        return np.array(pl.coords, dtype=np.int64) % p
     while True:
         v = _uniform(pl, n, p, rng)
         if not _proportional(at, v, p):
@@ -292,14 +298,14 @@ def _sample_direction(pl: Placement, at: np.ndarray, n: int, p: int, rng) -> np.
 
 
 def condition_matrix(spec: SchemeSpec, prime: int, seed: int) -> FieldMatrix:
-    """Stack point-multiplicity rows and tangent-direction rows.
+    """Point-multiplicity rows and tangent-direction rows, in the spec's point order.
 
     A multiplicity-m point contributes the binom(m-1+n, n) derivative rows of
     order exactly m-1 (lower orders follow from the Euler relation, p > d);
     each direction contributes one leading-form row at its point's
     multiplicity, after its point's derivative rows. The rows of all points of
-    one multiplicity come from one point_rows call; the blocks are stacked in
-    the spec's point order. The kernel is the sampled linear system.
+    one multiplicity come from one point_rows call and are written into the
+    matrix at their points' offsets. The kernel is the sampled linear system.
     """
     if spec.oversized_multiplicities:
         raise ValueError(
@@ -308,15 +314,17 @@ def condition_matrix(spec: SchemeSpec, prime: int, seed: int) -> FieldMatrix:
         )
     sm = sample(spec, prime, seed)
     basis = monomial_basis(spec.n, spec.d)
-    if not spec.points:
-        return FieldMatrix(np.zeros((0, len(basis)), dtype=np.int64), prime)
-    blocks = [None] * len(spec.points)
-    for m in {pt.multiplicity for pt in spec.points}:
-        idx = [i for i, pt in enumerate(spec.points) if pt.multiplicity == m]
+    mults = [pt.multiplicity for pt in spec.points]
+    derivatives = {m: comb(m - 1 + spec.n, spec.n) for m in set(mults)}
+    sizes = [derivatives[m] + len(pt.directions) for m, pt in zip(mults, spec.points)]
+    # the multiplicity of each row's point: a group's rows are the rows of its m
+    row_mults = np.repeat(np.array(mults, dtype=np.int64), sizes)
+    a = np.empty((len(row_mults), len(basis)), dtype=np.int64)
+    for m in derivatives:
+        idx = [i for i, pt_m in enumerate(mults) if pt_m == m]
         pts, dirs = [sm.points[i] for i in idx], [sm.directions[i] for i in idx]
-        for i, block in zip(idx, point_rows(basis, pts, m, dirs, prime)):
-            blocks[i] = block
-    return FieldMatrix(np.vstack(blocks), prime)
+        a[row_mults == m] = point_rows(basis, pts, m, dirs, prime)
+    return FieldMatrix(a, prime)
 
 
 @dataclass(frozen=True)

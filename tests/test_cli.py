@@ -51,6 +51,13 @@ def test_dim_redraws_a_repeated_point(capsys):
     assert (code, out) == (0, "L(2,5;2^6): virtual=2 expected=2 computed=2\n")
 
 
+def test_dim_redraws_a_point_that_repeats_the_target_of_its_chord(capsys):
+    # seed 56 at p = 7 first draws point 1 onto point 0, which exited 1 with
+    # "direction is proportional to its base point"
+    code, out, _ = run(capsys, ["dim", "L(2,4;2,1[1@pt0])", "--prime", "7", "--seed", "56"])
+    assert (code, out) == (0, "L(2,4;2,1[1@pt0]): virtual=9 expected=9 computed=9\n")
+
+
 def test_dim_refuses_a_locus_with_no_free_point(capsys):
     code, out, err = run(capsys, ["dim", "L(2,5;1^9@H1)", "--prime", "7", "--seed", "0"])
     assert (code, out) == (1, "")

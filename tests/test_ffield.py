@@ -1,3 +1,5 @@
+from math import prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from fatpoints.ffield import (
     DEFAULT_PRIMES,
     MAX_MODULUS,
     FieldMatrix,
+    _floor_mod,
+    _fold,
     _proportional,
     _reduce,
     check_modulus,
@@ -67,6 +71,41 @@ def test_field_matrix_reduces_entries():
     assert (m.rows, m.cols) == (2, 2)
     assert m.a.min() >= 0 and m.a.max() < 7
     assert m.a[0, 1] == 6
+    # one entry just out of range, at either end, is enough to reduce the matrix
+    for bad, want in ((7, 0), (-1, 6)):
+        m = FieldMatrix(np.array([[1, 2], [bad, 3]], dtype=np.int64), 7)
+        assert m.a.tolist() == [[1, 2], [want, 3]]
+    # an int64 array already reduced is kept, not copied, and made read-only
+    a = np.array([[0, 6], [3, 5]], dtype=np.int64)
+    m = FieldMatrix(a, 7)
+    assert m.a.tolist() == [[0, 6], [3, 5]]
+    assert np.shares_memory(m.a, a)
+    assert not m.a.flags.writeable
+
+
+FOLD_PRIMES = (3, 7, 32003, 65521, 2**31 - 1)
+
+
+def test_fold_keeps_products_in_int64():
+    assert [_fold(p) for p in FOLD_PRIMES] == [31, 21, 4, 3, 2]
+    assert all((p - 1) ** _fold(p) < 2**63 for p in FOLD_PRIMES)
+
+
+@pytest.mark.parametrize("p", FOLD_PRIMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_floor_mod_matches_remainder(p, data):
+    # as the row builder uses it: int64 products of _fold(p) residues, the
+    # largest one included
+    r = _fold(p)
+    residues = st.lists(st.integers(0, p - 1), min_size=r, max_size=r)
+    factors = data.draw(st.lists(residues, max_size=6)) + [[p - 1] * r]
+    products = np.prod(np.array(factors, dtype=np.int64), axis=1)
+    assert _floor_mod(products, p).tolist() == [prod(f) % p for f in factors]
+    # and on its whole domain, x >= -2^63 + p, negatives included
+    ints = st.integers(-(2**63) + p, 2**63 - 1)
+    wide = data.draw(st.lists(ints, max_size=20)) + [-(2**63) + p, -1, 0, 2**63 - 1]
+    assert _floor_mod(np.array(wide, dtype=np.int64), p).tolist() == [v % p for v in wide]
 
 
 def test_field_matrix_is_write_protected():

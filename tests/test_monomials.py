@@ -13,7 +13,7 @@ P = 32003
 
 def one_point(b, pt, m, directions, p):
     """The condition rows of one m-fold point: point_rows on a batch of one."""
-    return point_rows(b, [pt], m, [directions], p)[0]
+    return point_rows(b, [pt], m, [directions], p)
 
 
 def form_value(coeffs, b, pt) -> int:
@@ -187,20 +187,24 @@ def test_point_rows_take_one_direction_sequence_per_point():
         point_rows(b, [(1, 2, 3), (3, 2, 1)], 2, [[(1, 1, 1)]], P)
     with pytest.raises(ValueError):  # the proportional direction belongs to the second point
         point_rows(b, [(1, 2, 3), (3, 2, 1)], 2, [[(1, 1, 1)], [(6, 4, 2)]], P)
-    assert point_rows(b, np.zeros((0, 3), dtype=np.int64), 2, [], P) == []
+    assert point_rows(b, np.zeros((0, 3), dtype=np.int64), 2, [], P).shape == (0, len(b))
 
 
-def test_evaluate_basis_against_direct_powers():
-    n, d = 3, 5
+@pytest.mark.parametrize("p", [3, 7, 32003, 65521, 2**31 - 1])
+def test_evaluate_basis_against_direct_powers(p):
+    # products hold _fold(p) = 31, 21, 4, 3 and 2 residues between reductions;
+    # a quintic in five variables has up to five factors, more than that at the
+    # three large primes, and the point of all p - 1 gives the largest products
+    n, d = 4, 5
     b = monomial_basis(n, d)
     rng = np.random.default_rng(11)
-    pts = rng.integers(0, P, (6, n + 1))
-    got = evaluate_basis(b, pts, P)
+    pts = np.vstack([rng.integers(0, p, (6, n + 1)), np.full((1, n + 1), p - 1)])
+    got = evaluate_basis(b, pts, p)
     for i, pt in enumerate(pts):
         for j, beta in enumerate(b.exponents):
             want = 1
             for x, e in zip(pt, beta):
-                want = want * pow(int(x), e, P) % P
+                want = want * pow(int(x), e, p) % p
             assert got[i, j] == want
 
 

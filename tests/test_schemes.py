@@ -218,6 +218,24 @@ def test_sample_redraws_a_repeated_random_point():
     assert all(np.array_equal(sm.points[i], first[i]) for i in (0, 1, 2, 3, 5))
 
 
+def test_sample_redraws_a_point_that_repeats_the_target_of_its_chord():
+    # at p = 7, seed 56 first draws point 1 onto point 0, toward which it has a chord
+    spec = parse_spec("L(2,4;2,1[1@pt0])")
+    first = [schemes._sample_point(Placement.generic(), 2, 7, schemes._point_rng(7, 56, i))
+             for i in range(2)]
+    assert np.array_equal(*first)
+    sm = sample(spec, 7, 56)
+    redraw = schemes._sample_point(Placement.generic(), 2, 7, schemes._point_rng(7, 56, 1, 1))
+    assert np.array_equal(sm.points[0], first[0])
+    assert np.array_equal(sm.points[1], redraw)
+    assert not np.array_equal(sm.points[1], sm.points[0])
+    assert np.array_equal(sm.directions[1][0], sm.points[0])
+    # an explicit direction proportional to its accepted point is still refused
+    point = FatPoint(Placement.explicit((1, 2, 3)), 1, (Placement.explicit((2, 4, 6)),))
+    with pytest.raises(ValueError, match="proportional to its base point"):
+        sample(SchemeSpec(2, 3, (point,)), 7, 0)
+
+
 def test_sample_keeps_fixed_repeats_and_refuses_a_full_locus():
     # H_0 is one point, and equal explicit coordinates are one point
     assert np.array_equal(*sample(parse_spec("L(2,5;1^2@H0)"), 7, 0).points)
