@@ -38,7 +38,8 @@ from math import comb
 
 import numpy as np
 
-from .ffield import _EXACT, MAX_MODULUS, FieldMatrix, _reduce, is_prime, kernel_basis, rank
+from .ffield import (_EXACT, MAX_MODULUS, FieldMatrix, _reduce, check_modulus, is_prime,
+                     kernel_basis, rank)
 from .formulas import is_perfect, k
 from .monomials import MonomialBasis, _power_table, monomial_basis
 from .schemes import SchemeSpec, condition_matrix, double_points, sample
@@ -403,11 +404,10 @@ def identifiability_verdict(
 
 
 def quadric_rank(coeffs, basis: MonomialBasis, p: int) -> int:
-    """Rank of the symmetric matrix of a quadratic form; needs odd p."""
+    """Rank of the symmetric matrix of a quadratic form; p must be an odd prime."""
     if basis.d != 2:
         raise ValueError(f"quadric rank needs degree 2, got {basis.d}")
-    if p == 2:
-        raise ValueError("quadric rank undefined at p = 2")
+    p = check_modulus(p)
     coeffs = np.asarray(coeffs, dtype=np.int64) % p
     n = basis.n
     inv2 = pow(2, -1, p)

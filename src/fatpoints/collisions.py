@@ -16,12 +16,12 @@ import numpy as np
 
 from .ffield import DEFAULT_PRIMES, FieldMatrix, check_modulus, normalize, rank
 from .formulas import collision_limit_degree, degree_identity
-from .monomials import evaluate_basis, monomial_basis
 from .schemes import (
     DimensionReport,
     FatPoint,
     Placement,
     SchemeSpec,
+    condition_matrix,
     dimension,
     double_points,
 )
@@ -131,9 +131,9 @@ def indip_check(n: int, prime: int, seed: int) -> ChordTraceReport:
         if len(keys) == comb(n + 1, 2):
             break
         attempt += 1
-    basis = monomial_basis(n - 1, 2)
-    rows = evaluate_basis(basis, np.vstack([v[:n] for v in traces.values()]), p)
-    rk = rank(FieldMatrix(rows, p))
+    # simple points at the traces: their rows evaluate the quadrics of R there
+    on_r = SchemeSpec(n - 1, 2, [FatPoint(Placement.explicit(v[:n])) for v in traces.values()])
+    rk = rank(condition_matrix(on_r, p, seed))
     collinear = all(
         _collinear(traces[(i, j)][:n], traces[(i, k)][:n], traces[(j, k)][:n], p)
         for i in range(n + 1)

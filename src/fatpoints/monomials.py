@@ -3,35 +3,35 @@ multiple points and tangent directions.
 
 A degree-d form on P^n is a coefficient vector over the graded-lex basis
 (x_0 > x_1 > ... > x_n); every report prints coefficients in this order.
-Rows are residues mod p and assume p > d so the scaled derivative conditions
-stay faithful (derivative rows are not divided by alpha!; tangent rows divide
-by alpha! only for |alpha| = m < p). Residues are multiplied in int64, at most
-ffield._fold(p) of them before each reduction (4 at 32003, 2 at 2^31 - 1), so
-every product stays below 2^63; each reduction of an array is one
-ffield._floor_mod.
+Rows are residues mod p, a modulus ffield.check_modulus accepts, and assume
+p > d so the scaled derivative conditions stay faithful (derivative rows are
+not divided by alpha!; tangent rows divide by alpha! only for |alpha| = m <
+p). Residues are multiplied in int64, at most ffield._fold(p) of them before
+each reduction (4 at 32003, 2 at 2^31 - 1), so every product stays below
+2^63; each reduction of an array is one ffield._floor_mod.
 
 Derivative rows use d^alpha x^beta = (beta)_alpha x^(beta - alpha), where
 (beta)_alpha = prod_i beta_i! / (beta_i - alpha_i)! is 0 unless alpha <= beta.
 An order-k row at a point is then scale[alpha, beta] times the degree-(d-k)
 monomial beta - alpha evaluated there. `_derivative_table` caches the
 point-independent half per (n, d, k, p): gather[alpha, beta], the index of
-beta - alpha in monomial_basis(n, d-k), and scale = (beta)_alpha mod p, two
-int64 arrays of binom(n+k, n) x binom(n+d, n) entries. The rows of a batch of
-points are one evaluate_basis call, one gather, one `*= scale` and one
-_floor_mod; both factors are residues, so the int64 product is exact. Each
-entry of a finished row is reduced once, and FieldMatrix does not reduce it
-again.
+beta - alpha in monomial_basis(n, d-k) (0 wherever scale is 0), and scale =
+(beta)_alpha mod p, two int64 arrays of binom(n+k, n) x binom(n+d, n)
+entries. The rows of a batch of points are one evaluate_basis call, one
+gather, one `*= scale` and one _floor_mod; both factors are residues, so the
+int64 product is exact. Each entry of a finished row is reduced once, and
+FieldMatrix does not reduce it again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import factorial, perm, prod
+from math import comb, factorial, perm, prod
 
 import numpy as np
 
-from .ffield import MAX_MODULUS, _floor_mod, _fold, _proportional
+from .ffield import _floor_mod, _fold, _proportional, check_modulus
 
 
 def _exponents(n: int, d: int) -> tuple[tuple[int, ...], ...]:
@@ -85,8 +85,8 @@ def point_rows(basis: MonomialBasis, pts, m: int, directions, p: int) -> np.ndar
     puts v in the tangent cone. v must not be proportional to its point.
     """
     n, d = basis.n, basis.d
-    if not 1 <= m < p < MAX_MODULUS:
-        raise ValueError(f"need 1 <= m < p < {MAX_MODULUS}, got m={m}, p={p}")
+    if not 1 <= m < check_modulus(p):
+        raise ValueError(f"need 1 <= m < p, got m={m}, p={p}")
     pts = np.asarray(pts, dtype=np.int64) % p
     if pts.ndim != 2 or pts.shape[1] != n + 1:
         raise ValueError(f"points must have n+1={n + 1} coordinates")
@@ -99,21 +99,17 @@ def point_rows(basis: MonomialBasis, pts, m: int, directions, p: int) -> np.ndar
         raise ValueError("direction vector is proportional to the base point")
     rows = _derivative_rows(pts, d, m - 1, p)
     h, k, width = rows.shape
+    rows = rows.reshape(h * k, width)
     if not owner:
-        return rows.reshape(h * k, width)
+        return rows
     orders = monomial_basis(n, m)
     # w[v, alpha] = v^alpha / alpha! mod p; alpha! is invertible since m < p
     inv_factorials = [pow(prod(map(factorial, a)), -1, p) for a in orders.exponents]
     w = _floor_mod(evaluate_basis(orders, vs, p) * np.array(inv_factorials, dtype=np.int64), p)
     terms = _floor_mod(w[:, :, None] * _derivative_rows(pts[owner], d, m, p), p)
-    # direction t of the flat list follows the k rows of points 0..owner[t] and
-    # the t directions before it, so it lands at row (owner[t] + 1) * k + t
-    tangent = np.zeros(h * k + len(owner), dtype=bool)
-    tangent[(np.array(owner) + 1) * k + np.arange(len(owner))] = True
-    out = np.empty((len(tangent), width), dtype=np.int64)
-    out[~tangent] = rows.reshape(h * k, width)
-    out[tangent] = _floor_mod(terms.sum(axis=1), p)
-    return out
+    tangent = _floor_mod(terms.sum(axis=1), p)
+    # each direction goes in after its point's k rows and the directions before it
+    return np.insert(rows, (np.array(owner) + 1) * k, tangent, axis=0)
 
 
 def _derivative_rows(pts: np.ndarray, d: int, k: int, p: int) -> np.ndarray:
@@ -134,7 +130,8 @@ def _derivative_table(n: int, d: int, k: int, p: int):
     With alphas = monomial_basis(n, k), betas = monomial_basis(n, d) and gammas =
     monomial_basis(n, max(d - k, 0)), returns (gammas, gather, scale): gather[a, b]
     is the index in gammas of beta_b - alpha_a and scale[a, b] the falling factorial
-    (beta_b)_(alpha_a) mod p. Where alpha_a is not <= beta_b both are 0.
+    (beta_b)_(alpha_a) mod p. Wherever scale is 0, as unless alpha_a <= beta_b,
+    gather is 0.
     """
     gammas = monomial_basis(n, max(d - k, 0))
     alphas = monomial_basis(n, k).exponent_array
@@ -145,13 +142,18 @@ def _derivative_table(n: int, d: int, k: int, p: int):
     )
     scale = np.ones((len(alphas), len(betas)), dtype=np.int64)
     for i in range(n + 1):
-        scale = scale * falling[betas[None, :, i], alphas[:, i, None]] % p
-    diff = betas[None, :, :] - alphas[:, None, :]
-    diff = np.where((diff >= 0).all(axis=2)[..., None], diff, gammas.exponent_array[0])
-    # exponents read as digits in base deg(gammas) + 1, x_0 first: the keys fall
-    # strictly along the graded-lex basis, so their negatives are sorted
-    radix = (gammas.d + 1) ** np.arange(n, -1, -1)
-    gather = np.searchsorted(-(gammas.exponent_array @ radix), -(diff @ radix))
+        scale *= falling[betas[None, :, i], alphas[:, i, None]]
+        scale = _floor_mod(scale, p)
+    # in graded-lex order gamma follows the sum over i < n of binom(g_i + n-i-1, n-i)
+    # monomials, g_i its degree in x_{i+1}..x_n (clipped where alpha is not <= beta)
+    below = np.array([[comb(g + n - i - 1, n - i) for g in range(gammas.d + 1)]
+                      for i in range(n)], dtype=np.int64)
+    tail_a, tail_b = k - alphas.cumsum(axis=1), d - betas.cumsum(axis=1)
+    gather = np.zeros_like(scale)
+    for i in range(n):
+        g = tail_b[None, :, i] - tail_a[:, i, None]
+        gather += below[i, np.clip(g, 0, gammas.d, out=g)]
+    gather[scale == 0] = 0
     gather.setflags(write=False)
     scale.setflags(write=False)
     return gammas, gather, scale
@@ -163,8 +165,7 @@ def evaluate_basis(basis: MonomialBasis, pts: np.ndarray, p: int) -> np.ndarray:
     pts has shape (N, n+1); the result has shape (N, |basis|), the product over
     the variables of each point's power table gathered at the basis exponents.
     """
-    if p >= MAX_MODULUS:
-        raise ValueError(f"modulus {p} must be below {MAX_MODULUS} for int64 products")
+    check_modulus(p)
     pts = np.asarray(pts, dtype=np.int64) % p
     pw = _power_table(pts.ravel(), basis.d, p).T.reshape(*pts.shape, basis.d + 1)
     # a product may hold _fold(p) residues, and a reduced one counts as one

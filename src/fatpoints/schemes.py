@@ -341,8 +341,6 @@ class DimensionReport:
     expected: int
     computed: int
     special: bool
-    primes: tuple[int, ...]
-    seeds: tuple[int, ...]
     trials: tuple[Trial, ...]
     note: str = ""
 
@@ -365,8 +363,7 @@ def dimension(
     exp = expected_dim(spec)
 
     def report(computed, trials, note=""):
-        return DimensionReport(spec, vd, exp, computed, computed > exp, primes, seeds,
-                               tuple(trials), note)
+        return DimensionReport(spec, vd, exp, computed, computed > exp, tuple(trials), note)
 
     if spec.oversized_multiplicities:
         return report(-1, [], note="multiplicity exceeds degree: empty by definition")

@@ -1,12 +1,16 @@
-from math import comb, factorial, prod
+import tracemalloc
+from math import comb, factorial, perm, prod
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fatpoints.census import quadric_rank
 from fatpoints.ffield import FieldMatrix, rank
-from fatpoints.monomials import evaluate_basis, monomial_basis, point_rows
+from fatpoints.grammar import parse_spec
+from fatpoints.monomials import _derivative_table, evaluate_basis, monomial_basis, point_rows
+from fatpoints.schemes import dimension
 
 P = 32003
 
@@ -213,6 +217,57 @@ def test_evaluation_refuses_moduli_beyond_int64_range():
     b = monomial_basis(2, 3)
     with pytest.raises(ValueError):
         evaluate_basis(b, np.ones((1, 3), dtype=np.int64), 4294967311)
+
+
+@pytest.mark.parametrize("p", [9, 15, 2])
+def test_row_layer_refuses_moduli_that_are_not_odd_primes(p):
+    # a composite modulus or 2 used to give residues as if it were a prime field
+    with pytest.raises(ValueError):
+        evaluate_basis(monomial_basis(2, 3), np.ones((1, 3), dtype=np.int64), p)
+    with pytest.raises(ValueError):
+        point_rows(monomial_basis(2, 3), [[1, 2, 3]], 1, [[]], p)
+    with pytest.raises(ValueError):
+        quadric_rank(np.ones(6, dtype=np.int64), monomial_basis(2, 2), p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 32003])
+def test_derivative_table_against_falling_factorials(p):
+    # scale from exact falling factorials, reduced once: a product of them is at
+    # most d! = 5040. gather is checked by the exponents it points at.
+    for n in range(1, 6):
+        for d in range(8):
+            betas = monomial_basis(n, d).exponent_array
+            for k in range(d + 2):
+                alphas = monomial_basis(n, k).exponent_array
+                gammas, gather, scale = _derivative_table.__wrapped__(n, d, k, p)
+                assert gammas is monomial_basis(n, max(d - k, 0))
+                falling = np.array([[perm(b, a) for a in range(k + 1)] for b in range(d + 1)])
+                exact = np.ones(scale.shape, dtype=np.int64)
+                for i in range(n + 1):
+                    exact *= falling[betas[None, :, i], alphas[:, i, None]]
+                assert np.array_equal(scale, exact % p), (n, d, k)
+                kept = scale != 0
+                assert not gather[~kept].any(), (n, d, k)
+                for i in range(n + 1):
+                    diff = betas[None, :, i] - alphas[:, i, None]
+                    assert (gammas.exponent_array[gather, i] == diff)[kept].all(), (n, d, k)
+
+
+def test_large_systems_index_their_derivative_tables():
+    # exponent keys in base d - k + 1 = 3 overflowed int64 here (3^40 > 2^63), an IndexError
+    assert dimension(parse_spec("L(40,2;1)"), seeds=(0,)).computed == comb(42, 2) - 2
+
+
+def test_derivative_table_memory_is_about_twice_its_output():
+    for d in (8, 2, 6):
+        monomial_basis(8, d)  # the bases are cached apart from the table
+    tracemalloc.start()
+    try:
+        _, gather, scale = _derivative_table.__wrapped__(8, 8, 2, 32003)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (gather.nbytes + scale.nbytes)
 
 
 @settings(max_examples=30, deadline=None)

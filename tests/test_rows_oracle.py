@@ -153,3 +153,22 @@ def test_condition_matrix_matches_oracle_stacking(kind):
         for pt, coords, vecs in zip(spec.points, sm.points, sm.directions)
     ]
     assert np.array_equal(condition_matrix(spec, p, seed).a, np.vstack(blocks))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_point_rows_match_the_oracle_at_primes_not_above_the_degree(data):
+    # for d >= p some falling factorial (beta)_alpha with alpha <= beta is 0 mod p
+    p = data.draw(st.sampled_from((5, 7)), label="p")
+    n = data.draw(st.integers(1, 4), label="n")
+    d = data.draw(st.integers(p, 9), label="d")
+    m = data.draw(st.integers(1, p - 1), label="m")
+    vec = st.lists(st.integers(0, p - 1), min_size=n + 1, max_size=n + 1)
+    pts = data.draw(st.lists(vec.filter(any), min_size=1, max_size=3), label="pts")
+    dirs = [
+        data.draw(st.lists(vec.filter(lambda v, x=x: not proportional(x, v, p)), max_size=2))
+        for x in pts
+    ]
+    got = point_rows(monomial_basis(n, d), pts, m, dirs, p)
+    want = [oracle_rows(n, d, pt, m, vs, p) for pt, vs in zip(pts, dirs)]
+    assert np.array_equal(got, np.vstack(want))
