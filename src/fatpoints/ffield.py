@@ -39,8 +39,9 @@ most 2^16 stored: a chance of at most 2^-112 per lookup.
 This module owns the residue arithmetic of the package: `_reduce` is the one
 floating-point reduction mod p, shared by elimination (float64) and the
 census (float32 or float64), `_floor_mod` the one int64 reduction of a
-large array, and `normalize` the one projective representative, shared by
-sampling, kernel vectors and `_proportional`.
+large array, `normalize` the one projective representative, shared by
+sampling and kernel vectors, and `_proportional` the one proportionality
+test, one batch of 2x2 minors for any number of vector pairs.
 
 numpy divides an int64 array by a scalar with a multiply and a shift
 (libdivide), but runs `%` as one hardware division per element, so
@@ -76,6 +77,8 @@ _BATCH = 32
 # float64 holds every integer up to 2^53; sums are kept at most 2^52, which
 # bounds the rounding error of the quotient in _reduce.
 _EXACT = 2**52
+# about this many int64 entries per step of the in-place reduction _floor_mod
+_SLAB = 8192
 # Row-prefix digests `rank` keeps, about 105 bytes each, so about 7 MB at most.
 _PREFIX_CAP = 2**16
 _PREFIX_RANKS: dict[bytes, int] = {}
@@ -152,13 +155,21 @@ class FieldMatrix:
 
 
 def _floor_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p for an int64 array x with every entry >= -2^63 + p, as a new array.
+    """x mod p in place, for an int64 array x with every entry >= -2^63 + p;
+    returns x.
 
-    (x // p) * p lies in (x - p, x], so no step leaves the int64 range.
+    (x // p) * p lies in (x - p, x], so no step leaves the int64 range. x is
+    reduced in slabs of leading-axis rows, about _SLAB entries each: the
+    quotient buffer stays near 64 KiB, which the allocator hands back from its
+    free lists, where a quotient as large as x would be fresh pages each call.
     """
-    q = x // p
-    q *= p
-    return np.subtract(x, q, out=q)
+    rows = max(1, _SLAB * len(x) // max(x.size, 1))
+    for start in range(0, len(x), rows):
+        part = x[start : start + rows]
+        q = part // p
+        q *= p
+        part -= q
+    return x
 
 
 def _fold(p: int) -> int:
@@ -344,9 +355,17 @@ def normalize(v, p: int) -> np.ndarray:
     return v
 
 
-def _proportional(a, b, p: int) -> bool:
-    """Projective proportionality over F_p; a zero vector is proportional to any."""
+def _proportional(a, b, p: int):
+    """Projective proportionality over F_p, vector by vector along the last axis.
+
+    a and b are vectors or stacks of them (numpy broadcasting pairs them); the
+    result has their broadcast shape less the last axis, a bool for two
+    vectors. Vectors are proportional when every 2x2 minor a_i b_j - a_j b_i
+    is 0 mod p, so a zero vector is proportional to any. Both are reduced
+    first, so each product of residues is below 2^62 and the minors stay in
+    int64.
+    """
     a, b = np.asarray(a, dtype=np.int64) % p, np.asarray(b, dtype=np.int64) % p
-    if not a.any() or not b.any():
-        return True
-    return np.array_equal(normalize(a, p), normalize(b, p))
+    outer = a[..., :, None] * b[..., None, :]
+    minors = outer - np.swapaxes(outer, -1, -2)
+    return ~(minors % p).any(axis=(-2, -1))

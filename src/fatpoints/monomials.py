@@ -8,7 +8,7 @@ p > d so the scaled derivative conditions stay faithful (derivative rows are
 not divided by alpha!; tangent rows divide by alpha! only for |alpha| = m <
 p). Residues are multiplied in int64, at most ffield._fold(p) of them before
 each reduction (4 at 32003, 2 at 2^31 - 1), so every product stays below
-2^63; each reduction of an array is one ffield._floor_mod.
+2^63; each reduction of an array is one ffield._floor_mod, in place.
 
 Derivative rows use d^alpha x^beta = (beta)_alpha x^(beta - alpha), where
 (beta)_alpha = prod_i beta_i! / (beta_i - alpha_i)! is 0 unless alpha <= beta.
@@ -17,10 +17,14 @@ monomial beta - alpha evaluated there. `_derivative_table` caches the
 point-independent half per (n, d, k, p): gather[alpha, beta], the index of
 beta - alpha in monomial_basis(n, d-k) (0 wherever scale is 0), and scale =
 (beta)_alpha mod p, two int64 arrays of binom(n+k, n) x binom(n+d, n)
-entries. The rows of a batch of points are one evaluate_basis call, one
-gather, one `*= scale` and one _floor_mod; both factors are residues, so the
-int64 product is exact. Each entry of a finished row is reduced once, and
-FieldMatrix does not reduce it again.
+entries. point_rows checks the modulus and reduces the points once; the
+rows of a batch of points are then one evaluation of the power tables, one
+gather (`take`, so the rows come out contiguous), one `*= scale` and one
+_floor_mod in place, with no second array of the rows' size; both factors
+are residues, so the int64 product is exact. Each entry of a finished row is
+reduced once, and FieldMatrix does not reduce it again. All tangent
+directions of a batch are checked against their points by one
+ffield._proportional call.
 """
 
 from __future__ import annotations
@@ -93,10 +97,11 @@ def point_rows(basis: MonomialBasis, pts, m: int, directions, p: int) -> np.ndar
     if len(directions) != len(pts):
         raise ValueError(f"need one direction sequence per point, got {len(directions)}")
     owner = [i for i, dirs in enumerate(directions) for _ in dirs]
-    vs = np.array([v for dirs in directions for v in dirs], dtype=np.int64)
-    vs = vs.reshape(-1, n + 1) % p
-    if any(_proportional(pts[i], v, p) for i, v in zip(owner, vs)):
-        raise ValueError("direction vector is proportional to the base point")
+    if owner:
+        vs = np.array([v for dirs in directions for v in dirs], dtype=np.int64)
+        vs = vs.reshape(-1, n + 1)
+        if _proportional(pts[owner], vs, p).any():
+            raise ValueError("direction vector is proportional to the base point")
     rows = _derivative_rows(pts, d, m - 1, p)
     h, k, width = rows.shape
     rows = rows.reshape(h * k, width)
@@ -105,20 +110,23 @@ def point_rows(basis: MonomialBasis, pts, m: int, directions, p: int) -> np.ndar
     orders = monomial_basis(n, m)
     # w[v, alpha] = v^alpha / alpha! mod p; alpha! is invertible since m < p
     inv_factorials = [pow(prod(map(factorial, a)), -1, p) for a in orders.exponents]
-    w = _floor_mod(evaluate_basis(orders, vs, p) * np.array(inv_factorials, dtype=np.int64), p)
-    terms = _floor_mod(w[:, :, None] * _derivative_rows(pts[owner], d, m, p), p)
-    tangent = _floor_mod(terms.sum(axis=1), p)
+    w = evaluate_basis(orders, vs, p)
+    w *= np.array(inv_factorials, dtype=np.int64)
+    terms = _derivative_rows(pts[owner], d, m, p)
+    terms *= _floor_mod(w, p)[:, :, None]
+    tangent = _floor_mod(_floor_mod(terms, p).sum(axis=1), p)
     # each direction goes in after its point's k rows and the directions before it
     return np.insert(rows, (np.array(owner) + 1) * k, tangent, axis=0)
 
 
 def _derivative_rows(pts: np.ndarray, d: int, k: int, p: int) -> np.ndarray:
-    """The order-k derivative rows of the degree-d monomials at each of H points.
+    """The order-k derivative rows of the degree-d monomials at each of H points,
+    residues mod a checked modulus p; the gathered rows are reduced in place.
 
     The result has shape (H, |monomial_basis(n, k)|, |monomial_basis(n, d)|).
     """
     gammas, gather, scale = _derivative_table(pts.shape[1] - 1, d, k, p)
-    rows = evaluate_basis(gammas, pts, p)[:, gather]
+    rows = _evaluate(gammas, pts, p).take(gather, axis=1)
     rows *= scale
     return _floor_mod(rows, p)
 
@@ -166,7 +174,11 @@ def evaluate_basis(basis: MonomialBasis, pts: np.ndarray, p: int) -> np.ndarray:
     the variables of each point's power table gathered at the basis exponents.
     """
     check_modulus(p)
-    pts = np.asarray(pts, dtype=np.int64) % p
+    return _evaluate(basis, np.asarray(pts, dtype=np.int64) % p, p)
+
+
+def _evaluate(basis: MonomialBasis, pts: np.ndarray, p: int) -> np.ndarray:
+    """evaluate_basis on residues pts mod a modulus p already checked."""
     pw = _power_table(pts.ravel(), basis.d, p).T.reshape(*pts.shape, basis.d + 1)
     # a product may hold _fold(p) residues, and a reduced one counts as one
     step = _fold(p) - 1
@@ -175,7 +187,7 @@ def evaluate_basis(basis: MonomialBasis, pts: np.ndarray, p: int) -> np.ndarray:
     for i in range(1, len(cols)):
         vals *= pw[:, i, cols[i]]
         if i % step == 0 or i == len(cols) - 1:
-            vals = _floor_mod(vals, p)
+            _floor_mod(vals, p)
     return vals
 
 
@@ -191,5 +203,5 @@ def _power_table(vec: np.ndarray, d: int, p: int) -> np.ndarray:
     for e in range(1, d + 1):
         np.multiply(pw[e - 1], vec, out=pw[e])
         if e % step == 0:
-            pw[e] = _floor_mod(pw[e], p)
+            _floor_mod(pw[e], p)
     return _floor_mod(pw, p)

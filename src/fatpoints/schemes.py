@@ -9,6 +9,14 @@ dimension() samples the configuration, stacks the condition rows, and takes
 the minimum kernel size over (prime, seed) trials: specialization can only
 raise the dimension, so the minimum is the sharp upper estimate of the
 generic value and equals it with high probability.
+
+Every dimension call runs sample and condition_matrix once per trial, so
+their per-call work is kept to the draw and the rows. A SchemeSpec computes
+the facts they read (oversized multiplicities, row and direction counts,
+distinct multiplicities, the points that carry @ptK) once, at construction.
+Placement and FatPoint are named tuples, so a draw lookup hashes and
+compares plain tuples. With a single multiplicity the rows of point_rows are
+the matrix, with no copy.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,8 +38,7 @@ EXPLICIT = "explicit"
 CLUSTER = "cluster"
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(NamedTuple):
     """Where a point (or tangent direction) sits.
 
     kind "generic": uniform over P^n; "subspace": uniform over the flag member
@@ -41,6 +48,9 @@ class Placement:
     is the chord toward point K, which is point K's sampled coordinates. Only a
     chord direction ties a system to the referenced point. A limit experiment
     needs explicit coordinates, as `collisions` builds them.
+
+    A placement is a plain tuple, like FatPoint, so hashing and comparing
+    one, as every draw lookup does, never runs Python code.
     """
 
     kind: str
@@ -75,8 +85,7 @@ class Placement:
         return out
 
 
-@dataclass(frozen=True)
-class FatPoint:
+class FatPoint(NamedTuple):
     placement: Placement
     multiplicity: int = 1
     directions: tuple[Placement, ...] = ()
@@ -91,18 +100,45 @@ class FatPoint:
 
 @dataclass(frozen=True)
 class SchemeSpec:
+    """n, d and the points; the facts every dimension and sample call reads
+    are computed once, here, and take no part in equality or hashing."""
+
     n: int
     d: int
     points: tuple[FatPoint, ...] = ()
+    # indices of points with m >= d + 2: legal, but certainly empty
+    oversized_multiplicities: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    direction_count: int = field(init=False, repr=False, compare=False)
+    _condition_rows: int = field(init=False, repr=False, compare=False)
+    _multiplicities: frozenset[int] = field(init=False, repr=False, compare=False)
+    # indices of points with an @ptK placement or direction
+    _cluster_points: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"ambient dimension must be >= 1, got {self.n}")
         if self.d < 0:
             raise ValueError(f"degree must be >= 0, got {self.d}")
-        object.__setattr__(self, "points", tuple(self.points))
-        for idx, pt in enumerate(self.points):
+        points = tuple(self.points)
+        for idx, pt in enumerate(points):
             self._check_point(idx, pt)
+        directions = sum(len(pt.directions) for pt in points)
+        facts = {
+            "points": points,
+            "oversized_multiplicities": tuple(
+                i for i, pt in enumerate(points) if pt.multiplicity >= self.d + 2
+            ),
+            "direction_count": directions,
+            "_condition_rows": sum(comb(pt.multiplicity - 1 + self.n, self.n) for pt in points)
+            + directions,
+            "_multiplicities": frozenset(pt.multiplicity for pt in points),
+            "_cluster_points": frozenset(
+                i for i, pt in enumerate(points)
+                if any(pl.kind == CLUSTER for pl in (pt.placement, *pt.directions))
+            ),
+        }
+        for name, value in facts.items():
+            object.__setattr__(self, name, value)
 
     def _check_point(self, idx: int, pt: FatPoint) -> None:
         if pt.multiplicity < 1:
@@ -136,23 +172,8 @@ class SchemeSpec:
             # sampling is sequential; a cluster or chord may only use earlier points
             raise ValueError(f"{where}: must reference an earlier point, got point {pl.center}")
 
-    @property
-    def oversized_multiplicities(self) -> tuple[int, ...]:
-        """Indices of points with m >= d + 2: legal, but certainly empty."""
-        return tuple(
-            i for i, pt in enumerate(self.points) if pt.multiplicity >= self.d + 2
-        )
-
-    @property
-    def direction_count(self) -> int:
-        return sum(len(pt.directions) for pt in self.points)
-
     def condition_rows(self) -> int:
-        n = self.n
-        return (
-            sum(comb(pt.multiplicity - 1 + n, n) for pt in self.points)
-            + self.direction_count
-        )
+        return self._condition_rows
 
     def to_dict(self) -> dict:
         return {"n": self.n, "d": self.d, "points": [pt.to_dict() for pt in self.points]}
@@ -211,14 +232,14 @@ def sample(spec: SchemeSpec, prime: int, seed: int) -> SampledScheme:
     and may be shared between calls.
     """
     p = check_modulus(prime)
-    bound = max([spec.d] + [pt.multiplicity for pt in spec.points])
+    bound = max((spec.d, *spec._multiplicities))
     if p <= bound:
         raise PrimeBoundError(f"prime {p} must exceed max(degree, multiplicities) = {bound}")
     pts: list[np.ndarray] = []
     dirs: list[tuple[np.ndarray, ...]] = []
     taken: set[bytes] = set()  # the representatives drawn so far
     for idx, pt in enumerate(spec.points):
-        if any(pl.kind == CLUSTER for pl in (pt.placement, *pt.directions)):
+        if idx in spec._cluster_points:
             pt = FatPoint(
                 Placement.generic() if pt.placement.kind == CLUSTER else pt.placement,
                 pt.multiplicity,
@@ -305,7 +326,8 @@ def condition_matrix(spec: SchemeSpec, prime: int, seed: int) -> FieldMatrix:
     each direction contributes one leading-form row at its point's
     multiplicity, after its point's derivative rows. The rows of all points of
     one multiplicity come from one point_rows call and are written into the
-    matrix at their points' offsets. The kernel is the sampled linear system.
+    matrix at their points' offsets; with a single multiplicity that call's
+    result is the matrix. The kernel is the sampled linear system.
     """
     if spec.oversized_multiplicities:
         raise ValueError(
@@ -314,8 +336,11 @@ def condition_matrix(spec: SchemeSpec, prime: int, seed: int) -> FieldMatrix:
         )
     sm = sample(spec, prime, seed)
     basis = monomial_basis(spec.n, spec.d)
+    if len(spec._multiplicities) == 1:
+        (m,) = spec._multiplicities
+        return FieldMatrix(point_rows(basis, sm.points, m, sm.directions, prime), prime)
     mults = [pt.multiplicity for pt in spec.points]
-    derivatives = {m: comb(m - 1 + spec.n, spec.n) for m in set(mults)}
+    derivatives = {m: comb(m - 1 + spec.n, spec.n) for m in spec._multiplicities}
     sizes = [derivatives[m] + len(pt.directions) for m, pt in zip(mults, spec.points)]
     # the multiplicity of each row's point: a group's rows are the rows of its m
     row_mults = np.repeat(np.array(mults, dtype=np.int64), sizes)
@@ -408,11 +433,7 @@ def castelnuovo_split(spec: SchemeSpec) -> tuple[SchemeSpec, SchemeSpec]:
     n = spec.n
     if n < 2:
         raise ValueError("restriction needs ambient dimension >= 2")
-    if any(
-        pl.kind == CLUSTER
-        for pt in spec.points
-        for pl in (pt.placement, *pt.directions)
-    ):
+    if spec._cluster_points:
         raise ValueError("cluster placements do not split; resolve them first")
 
     kernel_points: list[FatPoint] = []

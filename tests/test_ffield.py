@@ -236,3 +236,28 @@ def test_normalize_and_proportional_match_minors(data):
     assert ((0 <= rep) & (rep < p)).all()
     assert minors_vanish(rep, a, p)
     assert np.array_equal(normalize(rep * 2, p), rep)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_proportional_of_a_batch_matches_minors_pair_by_pair(data):
+    p = data.draw(st.sampled_from([3, 5, 32003, 2**31 - 1]), label="p")
+    size = data.draw(st.integers(1, 5), label="size")
+    count = data.draw(st.integers(0, 6), label="count")
+    vec = st.lists(st.integers(-3 * p, 3 * p), min_size=size, max_size=size)
+    pairs = []
+    for _ in range(count):
+        a = data.draw(vec, label="a")
+        kind = data.draw(st.sampled_from(["free", "multiple", "zero"]), label="kind")
+        if kind == "multiple":  # a scale of 0 gives the zero vector too
+            scale = data.draw(st.integers(0, p - 1), label="scale")
+            b = [x % p * scale % p for x in a]
+        else:
+            b = [0] * size if kind == "zero" else data.draw(vec, label="b")
+        # either side may hold the zero vector
+        pairs.append((b, a) if data.draw(st.booleans(), label="swap") else (a, b))
+    a = np.array([u for u, _ in pairs], dtype=np.int64).reshape(count, size)
+    b = np.array([v for _, v in pairs], dtype=np.int64).reshape(count, size)
+    got = _proportional(a, b, p)
+    assert got.shape == (count,)
+    assert got.tolist() == [minors_vanish(u, v, p) for u, v in pairs]

@@ -194,6 +194,20 @@ def test_point_rows_take_one_direction_sequence_per_point():
     assert point_rows(b, np.zeros((0, 3), dtype=np.int64), 2, [], P).shape == (0, len(b))
 
 
+@pytest.mark.parametrize("kind", ["multiple", "zero"])
+@pytest.mark.parametrize("where", [0, 2, 4])  # first, middle and last of five directions
+def test_point_rows_refuse_a_proportional_direction_among_several(where, kind):
+    b = monomial_basis(2, 3)
+    pts = [(1, 2, 3), (3, 2, 1), (1, 1, 4)]
+    dirs = [[(1, 0, 0), (0, 1, 0)], [(0, 0, 1)], [(1, 1, 0), (0, 1, 1)]]
+    assert point_rows(b, pts, 2, dirs, P).shape == (3 * 3 + 5, len(b))
+    owner, t = [(0, 0), (0, 1), (1, 0), (2, 0), (2, 1)][where]
+    bad = tuple(5 * x % P for x in pts[owner]) if kind == "multiple" else (0, 0, 0)
+    dirs[owner][t] = bad
+    with pytest.raises(ValueError, match="proportional"):
+        point_rows(b, pts, 2, dirs, P)
+
+
 @pytest.mark.parametrize("p", [3, 7, 32003, 65521, 2**31 - 1])
 def test_evaluate_basis_against_direct_powers(p):
     # products hold _fold(p) = 31, 21, 4, 3 and 2 residues between reductions;

@@ -1,9 +1,12 @@
 """Condition rows against a scalar oracle in Python integers.
 
-The oracle evaluates each entry from its definition and reduces mod p only at
-the end: a derivative row entry is D^alpha x^beta at the point, a tangent row
-entry is the coefficient of t^m in x^beta(pt + t*v), expanded by polynomial
-multiplication. The basis order is enumerated here too (graded lex, x_0 first).
+The oracle evaluates each entry from its definition: a derivative row entry
+is D^alpha x^beta at the point, the product over the variables of
+(beta_i)_(alpha_i) x_i^(beta_i - alpha_i); a tangent row entry is the
+coefficient of t^m in x^beta(pt + t*v), expanded by polynomial
+multiplication. Each point's powers are listed once, reduced mod p, and every
+product is reduced factor by factor. The basis order is enumerated here too
+(graded lex, x_0 first).
 """
 
 from functools import lru_cache
@@ -43,33 +46,56 @@ def falling(b: int, a: int) -> int:
     return v
 
 
-def derivative_row(n, d, alpha, pt, p):
-    row = []
-    for beta in graded_lex(n, d):
-        v = 1
-        for b, a, x in zip(beta, alpha, pt):
-            v *= falling(b, a) * int(x) ** max(b - a, 0)
-        row.append(v % p)
-    return row
+def powers(x, d, p) -> list[int]:
+    """[x^0, x^1, ..., x^d] mod p."""
+    out = [1]
+    for _ in range(d):
+        out.append(out[-1] * int(x) % p)
+    return out
+
+
+def derivative_rows(n, d, k, pt, p):
+    """One row per alpha of order k: D^alpha x^beta at pt, for every beta."""
+    # factor[i][a][b] = (b)_a x_i^(b - a) mod p, and 0 for a > b
+    factor = [
+        [[falling(b, a) * pw[b - a] % p if a <= b else 0 for b in range(d + 1)]
+         for a in range(k + 1)]
+        for pw in (powers(x, d, p) for x in pt)
+    ]
+    betas = graded_lex(n, d)
+    rows = []
+    for alpha in graded_lex(n, k):
+        cols = [f[a] for f, a in zip(factor, alpha)]
+        row = []
+        for beta in betas:
+            v = 1
+            for col, b in zip(cols, beta):
+                v = v * col[b] % p
+                if not v:
+                    break
+            row.append(v)
+        rows.append(row)
+    return rows
 
 
 def tangent_row(n, d, pt, v, m, p):
+    xs, ys = [powers(x, d, p) for x in pt], [powers(y, d, p) for y in v]
     row = []
     for beta in graded_lex(n, d):
-        poly = [1]  # coefficients in t of prod_i (pt_i + t v_i)^beta_i
-        for b, x, y in zip(beta, pt, v):
-            factor = [comb(b, k) * int(x) ** (b - k) * int(y) ** k for k in range(b + 1)]
-            out = [0] * (len(poly) + b)
+        poly = [1]  # coefficients in t of prod_i (pt_i + t v_i)^beta_i, up to t^m
+        for b, x, y in zip(beta, xs, ys):
+            factor = [comb(b, k) * x[b - k] * y[k] % p for k in range(b + 1)]
+            out = [0] * min(len(poly) + b, m + 1)
             for i, c in enumerate(poly):
-                for j, f in enumerate(factor):
-                    out[i + j] += c * f
+                for j, f in enumerate(factor[: len(out) - i]):
+                    out[i + j] = (out[i + j] + c * f) % p
             poly = out
-        row.append(poly[m] % p if m < len(poly) else 0)
+        row.append(poly[m] if m < len(poly) else 0)
     return row
 
 
 def oracle_rows(n, d, pt, m, directions, p):
-    rows = [derivative_row(n, d, alpha, pt, p) for alpha in graded_lex(n, m - 1)]
+    rows = derivative_rows(n, d, m - 1, pt, p)
     rows += [tangent_row(n, d, pt, v, m, p) for v in directions]
     return np.array(rows, dtype=np.int64).reshape(-1, comb(n + d, n))
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from functools import lru_cache
 from math import comb
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from fatpoints.ffield import rank
 from fatpoints.formulas import k
 from fatpoints.grammar import parse_spec
-from fatpoints import schemes
+from fatpoints import census, schemes
 from fatpoints.schemes import (
     FatPoint,
     Placement,
@@ -24,6 +25,7 @@ from fatpoints.schemes import (
     virtual_dim,
 )
 from fatpoints.suites import flagged_system, load_manifest
+from test_rows_oracle import ROW_KINDS
 
 P = 32003
 
@@ -456,3 +458,54 @@ def test_condition_matrices_match_the_recorded_ones():
         (Path(__file__).parent / "data" / "condition_matrices.json").read_text()
     )
     assert condition_matrix_hashes() == golden
+
+
+def test_equal_specs_parsed_apart_share_draws_and_censuses(monkeypatch):
+    for text in ("L(3,4;2,2@pt0,2[1@pt0],2[2@pt1])", "L(2,5;2^6)"):
+        a, b = parse_spec(text), parse_spec(text)
+        assert a is not b and a.points[0] is not b.points[0]
+        assert a == b and hash(a) == hash(b)
+        schemes._sample_one.cache_clear()
+        sample(a, 499, 0)
+        hits = schemes._sample_one.cache_info().hits
+        sample(b, 499, 0)
+        assert schemes._sample_one.cache_info().hits == hits + len(b.points)
+    # a fresh census cache, so that the first call is a miss
+    monkeypatch.setattr(census, "_census_cached", lru_cache(census._census_cached.__wrapped__))
+    assert census.census_of(a, 499, 0) is census.census_of(b, 499, 0)
+    info = census._census_cached.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+def _facts_by_their_old_definitions(spec):
+    """The spec facts as properties recomputed them on every call."""
+    n, pts = spec.n, spec.points
+    directions = sum(len(pt.directions) for pt in pts)
+    return (
+        tuple(i for i, pt in enumerate(pts) if pt.multiplicity >= spec.d + 2),
+        directions,
+        sum(comb(pt.multiplicity - 1 + n, n) for pt in pts) + directions,
+        {i for i, pt in enumerate(pts)
+         if any(pl.kind == schemes.CLUSTER for pl in (pt.placement, *pt.directions))},
+        {pt.multiplicity for pt in pts},
+    )
+
+
+def manifest_specs():
+    """Every spec the manifest names, and every pinned system."""
+    for conf in load_manifest()["suites"].values():
+        for case in conf.get("cases", ()):
+            if "spec" in case:
+                yield parse_spec(case["spec"])
+    for _, _, spec, _, _ in pinned_systems():
+        yield spec
+
+
+def test_spec_facts_equal_their_old_definitions():
+    specs = [*ROW_KINDS.values(), *manifest_specs(), parse_spec("L(2,3;4,2^2)"),
+             SchemeSpec(2, 3)]
+    assert len(specs) > 200
+    for spec in specs:
+        got = (spec.oversized_multiplicities, spec.direction_count, spec.condition_rows(),
+               spec._cluster_points, spec._multiplicities)
+        assert got == _facts_by_their_old_definitions(spec), spec
