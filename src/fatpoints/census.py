@@ -14,19 +14,37 @@ one variable at a time. A stage sums d+1 residue products, at most
 (d+1)(p-1)^2. The residues are float32 when that sum is at most 2^23, which
 covers every packaged census, and float64 otherwise, exact while at most 2^52;
 larger p are refused. Either bound keeps every partial sum an integer the
-format holds exactly, so BLAS may sum in any order. An image x is keyed
-by its position in the canonical enumeration (charts in order, x_n fastest).
-If x_0 != 0 it is the Horner sum in base p of y_j = x_j inv(x_0) mod p over
-j = 1..n; if x_0 = 0 it is p^n, the size of chart 0, plus the position of
-(x_1..x_n) in P^{n-1}, so a base point (every coordinate 0) lands on
-|P^n(F_p)| = p^n + ... + p + 1. The y_j are taken on the residues by
-`ffield._reduce`, exact as x_j inv(x_0) <= (p-1)^2 is within the same bound;
-only the positions are int64 (p^(n+1) > 2^63 is refused). The counts are one
-array of |P^n(F_p)| + 1 entries, int32 (4 bytes each) while |P^n(F_p)| < 2^31
-and int64 otherwise, refused when it cannot be allocated; besides it a census
-holds one chart's evaluation tensors, over a trailing grid of at most 2^18
-points, and at the end a histogram of at most 2^12 dense entries plus one per
-fiber of 2^12 points or more.
+format holds exactly, so BLAS may sum in any order. A chart is evaluated in
+blocks of at most _CHUNK = 2^16 points (a sweep of 2^14 to 2^18 was fastest
+near 2^16): the trailing variables whose grid of p^t points fits in a block
+are contracted once per chart, each leading variable but the last one value
+at a time, and the last leading variable _CHUNK // p^t values per batched
+product, the forms axis leading, so each block is one contiguous
+(n+1, points) array. A line of p > _CHUNK points has no trailing variable:
+it is cut into blocks of _CHUNK points, with the power table's columns.
+
+An image x is keyed by its position in the canonical enumeration (charts in
+order, x_n fastest). If x_0 != 0 it is the Horner sum in base p of
+y_j = x_j inv(x_0) mod p over j = 1..n; if x_0 = 0 it is p^n, the size of
+chart 0, plus the position of (x_1..x_n) in P^{n-1}, so a base point (every
+coordinate 0) lands on |P^n(F_p)| = p^n + ... + p + 1. The y_j of a block
+are one product and one `ffield._reduce` on the residues, exact as
+x_j inv(x_0) <= (p-1)^2 is within the same bound. The Horner sum is one
+product of the weights p^(n-1), ..., p, 1 with the y_j, exact because every
+partial sum is an integer at most p^n - 1: it runs in float32 while
+p^n <= 2^24, in float64 while p^n <= 2^53 and in int64 past that, and is
+converted to int64 positions once (p^(n+1) > 2^63 is refused). The inverses
+inv(x) = x^(p-2) are one table of p residues, taken by square and multiply
+on int64 slices of _CHUNK entries.
+
+The counts are one array of |P^n(F_p)| + 1 entries, int32 (4 bytes each)
+while |P^n(F_p)| < 2^31 and int64 otherwise, refused when it cannot be
+allocated. Besides it a census holds the inverse table; the power table,
+whole while p <= _CHUNK and otherwise in slices of at most _CHUNK columns;
+one chart's tensor contracted over its trailing grid, (n+1)(d+1)^l p^t
+entries for l leading variables; the buffers of one block of at most _CHUNK
+points; and at the end a histogram of at most 2^12 dense entries plus one
+per fiber of 2^12 points or more.
 """
 
 from __future__ import annotations
@@ -38,8 +56,8 @@ from math import comb
 
 import numpy as np
 
-from .ffield import (_EXACT, MAX_MODULUS, FieldMatrix, _reduce, check_modulus, is_prime,
-                     kernel_basis, rank)
+from .ffield import (_EXACT, MAX_MODULUS, FieldMatrix, _floor_mod, _reduce, check_modulus,
+                     is_prime, kernel_basis, rank)
 from .formulas import is_perfect, k
 from .monomials import MonomialBasis, _power_table, monomial_basis
 from .schemes import SchemeSpec, condition_matrix, double_points, sample
@@ -52,7 +70,7 @@ TAU_FINITE = 0.6
 # per-dimension census primes; n <= 4 fixed, the pairs give cross-prime checks
 CENSUS_PRIMES = {1: (499, 251), 2: (499, 251), 3: (127, 131), 4: (31, 61), 5: (31, 17)}
 
-_CHUNK = 1 << 18
+_CHUNK = 1 << 16
 _LARGE_FIBER = 1 << 12  # fiber sizes the histogram counts sparsely
 
 
@@ -120,45 +138,70 @@ class FiberCensus:
 
 
 def _chart_images(m: RationalMap, chunk: int = _CHUNK):
-    """The n+1 forms on P^n(F_p), chart by chart, in chunks of points.
+    """The n+1 forms on P^n(F_p), chart by chart, in blocks of at most chunk points.
 
     Chart lead = k is x_0..x_{k-1} = 0, x_k = 1 over F_p^{n-k} (x_n fastest). Its
     forms, a tensor over the exponents of x_{k+1}..x_n, are contracted one variable
     at a time against V[e, x] = x^e mod p in BLAS, reduced after each stage
     of d+1 residue products: once per chart for the trailing variables whose grid
-    fits in a chunk, then per value of each leading variable, one chunk per
-    leading point. Yields residues of _residue_dtype(d, p), exact while every
-    stage sum stays within its bound (2^23 for float32, 2^52 for float64), one
-    row per point.
+    fits in a chunk, then in _leading_values. Yields residues of
+    _residue_dtype(d, p), exact while every stage sum stays within its bound
+    (2^23 for float32, 2^52 for float64), one row per point: the transpose of
+    a contiguous (n+1, points) block.
     """
     n, d, p = m.n, m.d, m.prime
     size = d + 1
     dtype = _residue_dtype(d, p)
-    vand = _power_table(np.arange(p, dtype=np.int64), d, p).astype(dtype)
+    # the whole power table when p fits in a chunk; past it, slices of chunk columns
+    whole = _power_table(np.arange(p, dtype=np.int64), d, p).astype(dtype) if p <= chunk else None
+
+    def powers(lo: int, hi: int) -> np.ndarray:
+        """V[e, x - lo] = x^e mod p for lo <= x < hi."""
+        if whole is not None:
+            return whole[:, lo:hi]
+        return _power_table(np.arange(lo, hi, dtype=np.int64), d, p).astype(dtype)
+
     exps = m.basis.exponent_array
     for lead in range(n + 1):
         free = n - lead
-        trail = min(free, 1)
+        trail = 0
         while trail < free and p ** (trail + 1) <= chunk:
             trail += 1
         keep = ~exps[:, :lead].any(axis=1)
         flat = exps[keep, lead + 1 :] @ size ** np.arange(free - 1, -1, -1)
         tensor = np.zeros((n + 1, size**free), dtype=dtype)
         tensor[:, flat] = m.coeffs[:, keep] % p
-        # axes: leading exponents, forms, trailing exponents
+        # axes: leading exponents but the last, forms, last leading exponent, trailing exponents
         lead_axes = free - trail
-        tensor = np.moveaxis(tensor.reshape((n + 1,) + (size,) * free), 0, lead_axes)
+        tensor = np.moveaxis(tensor.reshape((n + 1,) + (size,) * free), 0, max(lead_axes - 1, 0))
         for _ in range(trail):
-            tensor = _reduce(np.tensordot(tensor, vand, axes=([lead_axes + 1], [0])), p)
-        yield from _leading_values(tensor.reshape(tensor.shape[: lead_axes + 1] + (-1,)), vand, p)
+            tensor = _reduce(np.tensordot(tensor, powers(0, p), axes=([lead_axes + 1], [0])), p)
+        yield from _leading_values(tensor.reshape(tensor.shape[: lead_axes + 1] + (-1,)),
+                                   powers, p, chunk)
 
 
-def _leading_values(tensor: np.ndarray, vand: np.ndarray, p: int):
+def _leading_values(tensor: np.ndarray, powers, p: int, chunk: int):
+    """Blocks of a chart over every value of its leading variables, in order.
+
+    tensor's axes are the exponents of the leading variables but the last, the
+    forms, the exponent of the last leading variable and the trailing points
+    (the forms and the trailing points alone when no variable leads). The
+    last leading variable takes chunk // (trailing points) values per batched
+    product; powers(lo, hi) gives the power table's columns lo..hi-1.
+    """
     if tensor.ndim == 2:
         yield tensor.T
+    elif tensor.ndim == 3:
+        # (forms, last leading exponent, trailing points): a group of values per product
+        group = max(1, chunk // tensor.shape[2])
+        for lo in range(0, p, group):
+            block = _reduce(np.matmul(powers(lo, min(lo + group, p)).T, tensor), p)
+            yield block.reshape(len(block), -1).T
     else:
-        for column in vand.T:
-            yield from _leading_values(_reduce(np.tensordot(column, tensor, axes=1), p), vand, p)
+        for lo in range(0, p, chunk):
+            for column in powers(lo, min(lo + chunk, p)).T:
+                yield from _leading_values(_reduce(np.tensordot(column, tensor, axes=1), p),
+                                           powers, p, chunk)
 
 
 def _positions(vals: np.ndarray, p: int, inv_table: np.ndarray) -> np.ndarray:
@@ -166,17 +209,19 @@ def _positions(vals: np.ndarray, p: int, inv_table: np.ndarray) -> np.ndarray:
     residues vals (see the module docstring); a zero column lands on
     |P^n(F_p)|. vals and inv_table share a float dtype, float32 only while
     (p-1)^2 <= 2^23 and float64 while (p-1)^2 <= 2^52, so each product
-    x_j inv(x_0) is reduced exactly."""
+    x_j inv(x_0) is reduced exactly. The Horner sum is one product in
+    _key_dtype(p^n), exact as every partial sum is at most p^n - 1."""
     inv = inv_table[vals[0].astype(np.intp)]  # 0 where x_0 = 0
-    idx = np.zeros(vals.shape[1], dtype=np.int64)
-    for row in vals[1:]:
-        idx *= p
-        idx += _reduce(row * inv, p).astype(np.int64)
+    n = len(vals) - 1
+    key = _key_dtype(p**n)
+    digits = _reduce(vals[1:] * inv, p).astype(key, copy=False)
+    idx = (p ** np.arange(n - 1, -1, -1, dtype=np.int64)).astype(key) @ digits
+    idx = idx.astype(np.int64, copy=False)
     rest = np.flatnonzero(inv == 0)
     if rest.size:
         # x_0 = 0: the positions of x_1..x_n in P^{n-1}, after the p^n of chart 0
-        tail = _positions(vals[1:, rest], p, inv_table) if len(vals) > 1 else 0
-        idx[rest] = p ** (len(vals) - 1) + tail
+        tail = _positions(vals[1:, rest], p, inv_table) if n else 0
+        idx[rest] = p**n + tail
     return idx
 
 
@@ -191,8 +236,6 @@ def fiber_census(m: RationalMap, budget: float = DEFAULT_BUDGET) -> FiberCensus:
             refusal += "; " + (f"largest affordable prime is {smaller}" if smaller
                                else f"no prime above d = {m.d} fits it")
         raise ValueError(refusal)
-    inv_table = np.zeros(p, dtype=_residue_dtype(m.d, p))
-    inv_table[1:] = [pow(x, -1, p) for x in range(1, p)]
     dtype = _count_dtype(domain)
     nbytes = dtype().itemsize * (domain + 1)
     try:
@@ -202,6 +245,7 @@ def fiber_census(m: RationalMap, budget: float = DEFAULT_BUDGET) -> FiberCensus:
             f"census needs {nbytes} bytes ({nbytes / 2**30:.2f} GiB) "
             f"for its fiber counts at p={p}; use a smaller prime"
         ) from None
+    inv_table = _inverse_table(p, _residue_dtype(m.d, p))
     one = dtype(1)  # a typed 1: np.add.at takes a slow path for a Python int
     for imgs in _chart_images(m):
         np.add.at(counts, _positions(imgs.T, p, inv_table), one)
@@ -219,9 +263,38 @@ def fiber_census(m: RationalMap, budget: float = DEFAULT_BUDGET) -> FiberCensus:
     )
 
 
+def _inverse_table(p: int, dtype: type, chunk: int = _CHUNK) -> np.ndarray:
+    """inv[x] = x^(p-2) mod p, the inverse of x mod the prime p, and inv[0] = 0.
+
+    Left-to-right square and multiply on int64 slices of chunk residues, each
+    product reduced in place by _floor_mod: (p-1)^2 < 2^62 as p < 2^31.
+    """
+    table = np.empty(p, dtype=dtype)
+    bits = bin(p - 2)[2:]
+    for lo in range(0, p, chunk):
+        x = np.arange(lo, min(lo + chunk, p), dtype=np.int64)
+        acc = np.ones_like(x)
+        for bit in bits:
+            _floor_mod(np.multiply(acc, acc, out=acc), p)
+            if bit == "1":
+                _floor_mod(np.multiply(acc, x, out=acc), p)
+        table[lo : lo + len(x)] = acc
+    table[0] = 0  # 0^(p-2) is 1 at p = 2
+    return table
+
+
 def _residue_dtype(d: int, p: int) -> type:
     """float32 when a stage sum (d+1)(p-1)^2 is at most 2^23, else float64."""
     return np.float32 if (d + 1) * (p - 1) ** 2 <= 2**23 else np.float64
+
+
+def _key_dtype(count: int) -> type:
+    """float32 while count <= 2^24, float64 while count <= 2^53, else int64:
+    the narrowest dtype in which a matmul of nonnegative integers is exact
+    when its sum is below count."""
+    if count <= 2**24:
+        return np.float32
+    return np.float64 if count <= 2**53 else np.int64
 
 
 def _count_dtype(domain: int) -> type:

@@ -61,6 +61,52 @@ def test_positions_follow_the_canonical_enumeration():
             assert np.array_equal(got, np.arange(projective_count(n, p) + 1)), (dtype, n, p)
 
 
+def _canonical_point(index, n, p):
+    """The index-th point of canonical_points(n, p), or 0 at |P^n(F_p)|."""
+    for lead in range(n + 1):
+        size = p ** (n - lead)
+        if index < size:
+            digits = [(index // p**j) % p for j in range(n - lead - 1, -1, -1)]
+            return (0,) * lead + (1,) + tuple(digits)
+        index -= size
+    return (0,) * (n + 1)
+
+
+# (n, p) on both sides of each switch of the Horner product's dtype: p^n at most
+# 2^24 (float32) or past it, at most 2^53 (float64) or past it (int64), at each
+# residue width that holds the products x_j inv(x_0) exactly
+@pytest.mark.parametrize("n, p, key", [
+    (3, 251, np.float32), (3, 257, np.float64), (2, 4093, np.float32), (2, 4099, np.float64),
+    (6, 449, np.float64), (6, 457, np.int64),
+])
+def test_positions_on_both_sides_of_each_product_width(n, p, key):
+    assert census._key_dtype(p**n) is key
+    size = projective_count(n, p)
+    rng = np.random.default_rng(p)
+    # the top of chart 0, where the Horner sum is near p^n, and a random sample
+    index = np.concatenate([np.arange(p**n - 64, p**n + 2), [size - 1, size],
+                            rng.integers(0, size + 1, 2000)])
+    pts = np.array([_canonical_point(int(i), n, p) for i in index], dtype=np.int64)
+    for dtype in (np.float32, np.float64):
+        if dtype is np.float32 and (p - 1) ** 2 > 2**23:
+            continue
+        vals = (pts * rng.integers(1, p, (len(pts), 1)) % p).T.astype(dtype)
+        inv_table = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=dtype)
+        got = census._positions(vals, p, inv_table)
+        assert np.array_equal(got, index), (dtype, n, p)
+
+
+# 65537 = _CHUNK + 1 ends on a one-entry slice
+@pytest.mark.parametrize("p", [2, 3, 5, 31, 251, 65521, 65537])
+def test_inverse_table_matches_python_inverses(p):
+    want = [0] + [pow(x, -1, p) for x in range(1, p)]
+    for dtype in (np.float32, np.float64):
+        table = census._inverse_table(p, dtype)
+        assert table.dtype == dtype and table.tolist() == want
+    if p < 1000:  # slices of 7 residues, the last one partial
+        assert census._inverse_table(p, np.float64, chunk=7).tolist() == want
+
+
 def python_images(m, pt):
     """The n+1 forms at one point, in Python integers, reduced at the end."""
     monos = [1] * len(m.basis)
@@ -87,6 +133,66 @@ def test_chart_images_match_python_evaluation(data):
     assert len(got) == projective_count(n, p)
     want = [python_images(m, pt) for pt in canonical_points(n, p)]
     assert [tuple(map(int, row)) for row in got] == want
+
+
+# chart 0 has a trailing grid and a group of its last leading variable that
+# does not divide p, so the last group is shorter; at p = 7, chunk = 3
+# no variable is trailing and p > chunk, so the power table comes in slices
+@pytest.mark.parametrize("n, d, p, chunk", [
+    (3, 2, 7, 100), (4, 2, 5, 60), (2, 3, 7, 3), (1, 3, 13, 5), (3, 1, 11, 250),
+])
+def test_grouped_contraction_with_a_remainder_group_matches_python(n, d, p, chunk):
+    trail = 0
+    while p ** (trail + 1) <= chunk:
+        trail += 1
+    group = chunk // p**trail
+    assert p % group and n > trail
+    coeffs = np.random.default_rng(n * p + d).integers(0, p, size=(n + 1, comb(n + d, n)))
+    m = RationalMap(n, d, p, coeffs)
+    blocks = list(_chart_images(m, chunk))
+    assert group * p**trail in {len(b) for b in blocks}
+    got = [tuple(map(int, row)) for row in np.vstack(blocks)]
+    assert got == [python_images(m, pt) for pt in canonical_points(n, p)]
+
+
+@pytest.mark.parametrize("n, d, p, chunk", [
+    (1, 3, 101, 16), (1, 2, 65537, census._CHUNK), (2, 2, 11, 1), (2, 2, 11, 30),
+    (3, 2, 7, 48), (4, 1, 5, 200), (4, 1, 5, census._CHUNK),
+])
+def test_chart_image_blocks_hold_at_most_a_chunk(n, d, p, chunk):
+    coeffs = np.random.default_rng(p + chunk).integers(0, p, size=(n + 1, comb(n + d, n)))
+    m = RationalMap(n, d, p, coeffs)
+    sizes = []
+    rows = []
+    for block in _chart_images(m, chunk):
+        sizes.append(len(block))
+        rows.append(block[:: max(1, len(block) // 50)])
+    assert max(sizes) <= chunk
+    assert sum(sizes) == projective_count(n, p)
+    # a strided sample of each block against the Python evaluation
+    start = 0
+    for size, sample in zip(sizes, rows):
+        stride = max(1, size // 50)
+        for i, row in enumerate(sample):
+            pt = _canonical_point(start + i * stride, n, p)
+            assert tuple(map(int, row)) == python_images(m, pt)
+        start += size
+
+
+def test_pencil_evaluation_memory_is_bounded_by_the_chunk():
+    # a line of p > _CHUNK points: its power table and images would take
+    # (d+1) p + 2 p float64 entries, 48 MiB at d = 3; sliced, a few chunks' worth
+    p, d = next_odd_prime(1 << 20), 3
+    coeffs = np.random.default_rng(5).integers(0, p, size=(2, d + 1))
+    m = RationalMap(1, d, p, coeffs)
+    tracemalloc.start()
+    try:
+        points = sum(len(block) for block in _chart_images(m))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert points == p + 1
+    assert peak < 4 * (d + 1) * census._CHUNK * 8
 
 
 def python_census(m):
