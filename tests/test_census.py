@@ -282,7 +282,8 @@ def test_fiber_census_counts_with_a_typed_one(monkeypatch):
     assert scalars and set(scalars) == {(np.dtype(np.int32), np.int32)}
 
 
-@pytest.mark.parametrize("chunk", [64, census._CHUNK])
+# the census chunk, and 2^18 past it
+@pytest.mark.parametrize("chunk", [64, census._CHUNK, 1 << 18])
 def test_sliced_histogram_equals_one_bincount(chunk):
     # fibers larger than a slice, so the histogram outgrows every slice's bincount
     counts = np.random.default_rng(chunk).integers(0, 5, 3 * chunk + 7, dtype=np.int32)
