@@ -27,15 +27,27 @@ An image x is keyed by its position in the canonical enumeration (charts in
 order, x_n fastest). If x_0 != 0 it is the Horner sum in base p of
 y_j = x_j inv(x_0) mod p over j = 1..n; if x_0 = 0 it is p^n, the size of
 chart 0, plus the position of (x_1..x_n) in P^{n-1}, so a base point (every
-coordinate 0) lands on |P^n(F_p)| = p^n + ... + p + 1. The y_j of a block
-are one product and one `ffield._reduce` on the residues, exact as
-x_j inv(x_0) <= (p-1)^2 is within the same bound. The Horner sum is one
-product of the weights p^(n-1), ..., p, 1 with the y_j, exact because every
-partial sum is an integer at most p^n - 1: it runs in float32 while
-p^n <= 2^24, in float64 while p^n <= 2^53 and in int64 past that, and is
-converted to int64 positions once (p^(n+1) > 2^63 is refused). The inverses
-inv(x) = x^(p-2) are one table of p residues, taken by square and multiply
-on int64 slices of _CHUNK entries.
+coordinate 0) lands on |P^n(F_p)| = p^n + ... + p + 1.
+
+Each image coordinate is reduced once where it can be. While (d+1)(p-1)^3 is
+below 2^24 on float32 residues (4 * 130^3 at `space-cubic`@131) or at most
+2^52 on float64 ones, the last contraction of a leading variable reduces x_0
+alone: x_1..x_n, each at most (d+1)(p-1)^2, are multiplied by inv(x_0) in
+place, products the format holds exactly, and reduced once by
+`ffield._reduce`, exact below those bounds. Past them, and in a chart with no
+leading variable, every row is reduced first and the products are at most
+(p-1)^2. The Horner sum is one product of the weights p^(n-1), ..., p, 1
+with the y_j, exact because every partial sum is an integer at most
+p^n - 1: it runs in float32 while p^n <= 2^24, in float64 while
+p^n <= 2^53 and in int64 past that, and is converted to int64 positions once
+(p^(n+1) > 2^63 is refused). The images with x_0 = 0 are counted at
+|P^n(F_p)| for now and their x_1..x_n held; each time _CHUNK columns are
+held, and once at the end, they are reduced, positioned in P^{n-1} by one
+recursive `_positions` call, and moved from that placeholder to their
+positions. The inverses inv(x) = x^(p-2) are one table of p entries, taken by
+square and multiply on int64 slices of _CHUNK entries: float32 beside float32
+residues, so their products stay float32, and int32 (p < 2^31) beside float64
+ones, 4 bytes an entry, whose products are float64 with no cast pass.
 
 The counts are one array of |P^n(F_p)| + 1 entries, int32 (4 bytes each)
 while |P^n(F_p)| < 2^31 and int64 otherwise, refused when it cannot be
@@ -43,8 +55,9 @@ allocated. Besides it a census holds the inverse table; the power table,
 whole while p <= _CHUNK and otherwise in slices of at most _CHUNK columns;
 one chart's tensor contracted over its trailing grid, (n+1)(d+1)^l p^t
 entries for l leading variables; the buffers of one block of at most _CHUNK
-points; and at the end a histogram of at most 2^12 dense entries plus one
-per fiber of 2^12 points or more.
+points; the held x_1..x_n of fewer than 2 _CHUNK images with x_0 = 0; and at
+the end a histogram of at most 2^12 dense entries plus one per fiber of 2^12
+points or more.
 """
 
 from __future__ import annotations
@@ -144,14 +157,20 @@ def _chart_images(m: RationalMap, chunk: int = _CHUNK):
     forms, a tensor over the exponents of x_{k+1}..x_n, are contracted one variable
     at a time against V[e, x] = x^e mod p in BLAS, reduced after each stage
     of d+1 residue products: once per chart for the trailing variables whose grid
-    fits in a chunk, then in _leading_values. Yields residues of
+    fits in a chunk, then in _leading_values. Yields integers of
     _residue_dtype(d, p), exact while every stage sum stays within its bound
     (2^23 for float32, 2^52 for float64), one row per point: the transpose of
-    a contiguous (n+1, points) block.
+    a contiguous (n+1, points) block. x_0 is a residue. x_1..x_n are residues
+    too, unless their products with inv(x_0), at most (d+1)(p-1)^3, are exact
+    and within _reduce's bound (below 2^24 on float32, at most 2^52 on
+    float64): then the last stage of _leading_values leaves them unreduced,
+    congruent mod p to the forms' values and at most (d+1)(p-1)^2.
     """
     n, d, p = m.n, m.d, m.prime
     size = d + 1
     dtype = _residue_dtype(d, p)
+    top = (d + 1) * (p - 1) ** 3
+    rows = 1 if (top < 2**24 if dtype is np.float32 else top <= _EXACT) else n + 1
     # the whole power table when p fits in a chunk; past it, slices of chunk columns
     whole = _power_table(np.arange(p, dtype=np.int64), d, p).astype(dtype) if p <= chunk else None
 
@@ -177,17 +196,18 @@ def _chart_images(m: RationalMap, chunk: int = _CHUNK):
         for _ in range(trail):
             tensor = _reduce(np.tensordot(tensor, powers(0, p), axes=([lead_axes + 1], [0])), p)
         yield from _leading_values(tensor.reshape(tensor.shape[: lead_axes + 1] + (-1,)),
-                                   powers, p, chunk)
+                                   powers, p, chunk, rows)
 
 
-def _leading_values(tensor: np.ndarray, powers, p: int, chunk: int):
+def _leading_values(tensor: np.ndarray, powers, p: int, chunk: int, rows: int):
     """Blocks of a chart over every value of its leading variables, in order.
 
     tensor's axes are the exponents of the leading variables but the last, the
     forms, the exponent of the last leading variable and the trailing points
     (the forms and the trailing points alone when no variable leads). The
     last leading variable takes chunk // (trailing points) values per batched
-    product; powers(lo, hi) gives the power table's columns lo..hi-1.
+    product; powers(lo, hi) gives the power table's columns lo..hi-1. Every
+    stage is reduced but the last, which reduces its first rows forms.
     """
     if tensor.ndim == 2:
         yield tensor.T
@@ -195,34 +215,61 @@ def _leading_values(tensor: np.ndarray, powers, p: int, chunk: int):
         # (forms, last leading exponent, trailing points): a group of values per product
         group = max(1, chunk // tensor.shape[2])
         for lo in range(0, p, group):
-            block = _reduce(np.matmul(powers(lo, min(lo + group, p)).T, tensor), p)
+            block = np.matmul(powers(lo, min(lo + group, p)).T, tensor)
+            _reduce(block[:rows], p)
             yield block.reshape(len(block), -1).T
     else:
         for lo in range(0, p, chunk):
             for column in powers(lo, min(lo + chunk, p)).T:
                 yield from _leading_values(_reduce(np.tensordot(column, tensor, axes=1), p),
-                                           powers, p, chunk)
+                                           powers, p, chunk, rows)
 
 
 def _positions(vals: np.ndarray, p: int, inv_table: np.ndarray) -> np.ndarray:
     """Position in the canonical enumeration of P^n(F_p) of each column of the
     residues vals (see the module docstring); a zero column lands on
-    |P^n(F_p)|. vals and inv_table share a float dtype, float32 only while
-    (p-1)^2 <= 2^23 and float64 while (p-1)^2 <= 2^52, so each product
-    x_j inv(x_0) is reduced exactly. The Horner sum is one product in
-    _key_dtype(p^n), exact as every partial sum is at most p^n - 1."""
-    inv = inv_table[vals[0].astype(np.intp)]  # 0 where x_0 = 0
+    |P^n(F_p)|. vals is float32 while (p-1)^2 <= 2^23, with a float32
+    inv_table, and float64 while (p-1)^2 <= 2^52, with an int32 or float64
+    one, so each product x_j inv(x_0) is reduced exactly."""
     n = len(vals) - 1
-    key = _key_dtype(p**n)
-    digits = _reduce(vals[1:] * inv, p).astype(key, copy=False)
-    idx = (p ** np.arange(n - 1, -1, -1, dtype=np.int64)).astype(key) @ digits
-    idx = idx.astype(np.int64, copy=False)
-    rest = np.flatnonzero(inv == 0)
+    idx, rest, tail = _chart0_positions(vals.copy(), p, inv_table)
     if rest.size:
         # x_0 = 0: the positions of x_1..x_n in P^{n-1}, after the p^n of chart 0
-        tail = _positions(vals[1:, rest], p, inv_table) if n else 0
-        idx[rest] = p**n + tail
+        idx[rest] = p**n + (_positions(tail, p, inv_table) if n else 0)
     return idx
+
+
+def _chart0_positions(vals: np.ndarray, p: int,
+                      inv_table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions in chart 0 of the columns of vals with x_0 != 0, the indices
+    of the others, and their x_1..x_n as given.
+
+    vals is x_0 as residues and x_1..x_n as integers whose products with
+    inv(x_0) are exact in vals' dtype and within _reduce's bound; x_1..x_n
+    are overwritten by their digits x_j inv(x_0) mod p (0 where x_0 = 0).
+    The Horner sum is one product in _key_dtype(p^n), exact as every
+    partial sum is at most p^n - 1."""
+    inv = inv_table[vals[0].astype(np.intp)]  # 0 where x_0 = 0
+    rest = np.flatnonzero(inv == 0)
+    tail = vals[1:, rest]
+    digits = vals[1:]
+    digits *= inv
+    _reduce(digits, p)
+    n = len(digits)
+    key = _key_dtype(p**n)
+    idx = (p ** np.arange(n - 1, -1, -1, dtype=np.int64)).astype(key) @ digits.astype(key, copy=False)
+    return idx.astype(np.int64, copy=False), rest, tail
+
+
+def _count_held(counts: np.ndarray, held: list[np.ndarray], p: int, inv_table: np.ndarray) -> None:
+    """Move the images with x_0 = 0 whose x_1..x_n are held from the last
+    count, where they were put, to their positions p^n + (position in P^{n-1}),
+    and empty held. The placeholders are taken back first, so no count
+    exceeds the domain."""
+    tail = _reduce(np.concatenate(held, axis=1), p)
+    held.clear()
+    counts[-1] -= tail.shape[1]
+    np.add.at(counts, p ** len(tail) + _positions(tail, p, inv_table), counts.dtype.type(1))
 
 
 def fiber_census(m: RationalMap, budget: float = DEFAULT_BUDGET) -> FiberCensus:
@@ -245,10 +292,22 @@ def fiber_census(m: RationalMap, budget: float = DEFAULT_BUDGET) -> FiberCensus:
             f"census needs {nbytes} bytes ({nbytes / 2**30:.2f} GiB) "
             f"for its fiber counts at p={p}; use a smaller prime"
         ) from None
-    inv_table = _inverse_table(p, _residue_dtype(m.d, p))
+    # int32 inverses beside float64 residues: their product is float64
+    inv_table = _inverse_table(p, np.float32 if _residue_dtype(m.d, p) is np.float32 else np.int32)
     one = dtype(1)  # a typed 1: np.add.at takes a slow path for a Python int
+    held, size = [], 0  # x_1..x_n of the images with x_0 = 0, counted at counts[domain] for now
     for imgs in _chart_images(m):
-        np.add.at(counts, _positions(imgs.T, p, inv_table), one)
+        idx, rest, tail = _chart0_positions(imgs.T, p, inv_table)
+        idx[rest] = domain
+        np.add.at(counts, idx, one)
+        if rest.size:
+            held.append(tail)
+            size += rest.size
+        if size >= _CHUNK:
+            _count_held(counts, held, p, inv_table)
+            size = 0
+    if held:
+        _count_held(counts, held, p, inv_table)
     base = int(counts[domain])
     histogram = _histogram(counts[:domain])
     total = domain - base

@@ -179,10 +179,10 @@ def _fold(p: int) -> int:
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     """x mod p in place, for float64 integers 0 <= x <= 2^52, or float32
-    integers 0 <= x <= 2^23 (p a Python int, so x/p stays float32).
+    integers 0 <= x < 2^24 (p a Python int, so x/p stays float32).
 
-    With a mantissa of m bits (53, or 24 for float32) and x <= 2^(m-1), the
-    correctly rounded quotient x/p is off by at most (x/p) 2^-m <= 1/(2p).
+    With a mantissa of m bits (53, or 24 for float32) and x < 2^m, the
+    correctly rounded quotient x/p is off by at most (x/p) 2^-m < 1/p.
     If p does not divide x, x/p lies at least 1/p from every integer, so
     q = floor(x/p) is exact; if p divides x, the quotient is exact. x - q*p is
     then exact too, as q*p <= x.

@@ -107,6 +107,31 @@ def test_inverse_table_matches_python_inverses(p):
         assert census._inverse_table(p, np.float64, chunk=7).tolist() == want
 
 
+# int32 holds every inverse, as p < 2^31; at 1000003 a sample and both ends
+@pytest.mark.parametrize("p", [2, 5, 251, 65537, 1000003])
+def test_int32_inverse_table_matches_python_inverses(p):
+    table = census._inverse_table(p, np.int32)
+    assert table.dtype == np.int32 and len(table) == p
+    xs = np.unique(np.concatenate([np.arange(min(p, 70000)), [p - 2, p - 1],
+                                   np.random.default_rng(p).integers(1, p, 2000)]))
+    assert table[xs].tolist() == [pow(int(x), -1, p) if x else 0 for x in xs]
+
+
+@pytest.mark.parametrize("d, p, width", [(1, 2039, np.float32), (1, 2053, np.int32)])
+def test_inverse_table_width_follows_the_residues(monkeypatch, d, p, width):
+    # float32 inverses beside float32 residues; int32, 4 bytes an entry, beside float64 ones
+    widths = []
+    build = census._inverse_table
+
+    def recorded(p, dtype):
+        widths.append(dtype)
+        return build(p, dtype)
+
+    monkeypatch.setattr(census, "_inverse_table", recorded)
+    fiber_census(RationalMap(1, d, p, np.array([[1, 2], [3, 5]])))
+    assert widths == [width]
+
+
 def python_images(m, pt):
     """The n+1 forms at one point, in Python integers, reduced at the end."""
     monos = [1] * len(m.basis)
@@ -131,8 +156,20 @@ def test_chart_images_match_python_evaluation(data):
     m = RationalMap(n, d, p, coeffs)
     got = np.vstack(list(_chart_images(m, chunk)))
     assert len(got) == projective_count(n, p)
-    want = [python_images(m, pt) for pt in canonical_points(n, p)]
-    assert [tuple(map(int, row)) for row in got] == want
+    assert_chart_images(m, got, canonical_points(n, p))
+
+
+def assert_chart_images(m, rows, points):
+    """rows, from _chart_images, against the Python evaluation at points: x_0
+    is its residue, x_1..x_n are congruent to theirs, and every entry is an
+    integer in [0, (d+1)(p-1)^2]."""
+    p = m.prime
+    got = np.asarray(rows)
+    assert np.array_equal(got, np.floor(got))
+    assert got.min(initial=0) >= 0 and got.max(initial=0) <= (m.d + 1) * (p - 1) ** 2
+    residues = [tuple(int(v) % p for v in row) for row in got]
+    assert residues == [python_images(m, pt) for pt in points]
+    assert [int(row[0]) for row in got] == [img[0] for img in residues]
 
 
 # chart 0 has a trailing grid and a group of its last leading variable that
@@ -151,8 +188,7 @@ def test_grouped_contraction_with_a_remainder_group_matches_python(n, d, p, chun
     m = RationalMap(n, d, p, coeffs)
     blocks = list(_chart_images(m, chunk))
     assert group * p**trail in {len(b) for b in blocks}
-    got = [tuple(map(int, row)) for row in np.vstack(blocks)]
-    assert got == [python_images(m, pt) for pt in canonical_points(n, p)]
+    assert_chart_images(m, np.vstack(blocks), canonical_points(n, p))
 
 
 @pytest.mark.parametrize("n, d, p, chunk", [
@@ -173,9 +209,8 @@ def test_chart_image_blocks_hold_at_most_a_chunk(n, d, p, chunk):
     start = 0
     for size, sample in zip(sizes, rows):
         stride = max(1, size // 50)
-        for i, row in enumerate(sample):
-            pt = _canonical_point(start + i * stride, n, p)
-            assert tuple(map(int, row)) == python_images(m, pt)
+        points = [_canonical_point(start + i * stride, n, p) for i in range(len(sample))]
+        assert_chart_images(m, sample, points)
         start += size
 
 
@@ -254,6 +289,70 @@ def test_pencil_census_matches_python_census_at_each_residue_width(d, p, width):
     assert next(_chart_images(m)).dtype == width
     c = fiber_census(m)
     assert (c.base_points, c.image_size, c.histogram, c.fraction_unique) == python_census(m)
+
+
+# x_1..x_n leave the last stage unreduced while (d+1)(p-1)^3 is below 2^24 on
+# float32 residues (199 and 157, not 211 and 163) or at most 2^52 on float64
+# ones (131071, not 131101). Blocks of 50 points, so that every line and the
+# plane's leading variables are contracted in _leading_values.
+@pytest.mark.parametrize("n, d, p, once", [
+    (1, 1, 199, True), (1, 1, 211, False), (1, 3, 157, True), (1, 3, 163, False),
+    (2, 1, 199, True), (1, 1, 131071, True), (1, 1, 131101, False),
+])
+def test_census_matches_python_census_on_both_sides_of_the_once_reduced_bound(
+        monkeypatch, n, d, p, once):
+    chart_images = census._chart_images
+    monkeypatch.setattr(census, "_chart_images", lambda m: chart_images(m, 50))
+    coeffs = np.random.default_rng(p + d).integers(0, p, size=(n + 1, comb(n + d, n)))
+    m = RationalMap(n, d, p, coeffs)
+    first = next(census._chart_images(m))
+    assert first[:, 0].max() < p and (first[:, 1:].max() >= p) == once
+    c = fiber_census(m)
+    assert (c.base_points, c.image_size, c.histogram, c.fraction_unique) == python_census(m)
+
+
+def test_images_with_x0_zero_are_positioned_in_batches(monkeypatch):
+    # F_0 = 0, so every image has x_0 = 0: blocks of 30 points, batches of
+    # at least 100 held columns, each below two batches, and a last partial one
+    chart_images, count_held, batches = census._chart_images, census._count_held, []
+    monkeypatch.setattr(census, "_chart_images", lambda m: chart_images(m, 30))
+    monkeypatch.setattr(census, "_CHUNK", 100)
+
+    def recorded(counts, held, p, inv_table):
+        batches.append(sum(tail.shape[1] for tail in held))
+        count_held(counts, held, p, inv_table)
+
+    monkeypatch.setattr(census, "_count_held", recorded)
+    n, d, p = 3, 2, 7
+    coeffs = np.random.default_rng(3).integers(0, p, size=(n + 1, comb(n + d, n)))
+    coeffs[0] = 0
+    m = RationalMap(n, d, p, coeffs)
+    c = fiber_census(m)
+    assert (c.base_points, c.image_size, c.histogram, c.fraction_unique) == python_census(m)
+    assert sum(batches) == projective_count(n, p) and len(batches) > 2
+    assert all(100 <= b < 200 for b in batches[:-1]) and batches[-1] < 200
+
+
+def test_held_images_with_x0_zero_stay_within_two_chunks():
+    # F_0 = 0 on P^2(F_1021): all 1,043,463 images have x_0 = 0. Fewer than
+    # 2 _CHUNK held columns and the buffers of their batch take about 4 MiB
+    # more than a census with no such image; held whole they took 37 MiB more.
+    p = 1021
+    coeffs = np.random.default_rng(1).integers(0, p, size=(3, 3))
+    peaks = []
+    for zero in (False, True):
+        if zero:
+            coeffs[0] = 0
+        m = RationalMap(2, 1, p, coeffs)
+        tracemalloc.start()
+        try:
+            c = fiber_census(m)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert c.base_points + sum(s * k for s, k in c.histogram.items()) == c.domain_size
+    assert c.image_size == p + 1  # the line x_0 = 0
+    assert peaks[1] - peaks[0] < 8 * 2**20
 
 
 def test_count_width_follows_the_domain():

@@ -202,6 +202,18 @@ def test_reduce_is_python_remainder(p, xs):
     assert got.astype(np.int64).tolist() == [x % p for x in xs]
 
 
+# every float32 integer below 2^24, in slices of 2^20: p = 131 reduces the
+# census's once-reduced products at space-cubic@131 (up to 4 * 130^3), 2039 is
+# the largest prime with float32 census residues at d = 1
+@pytest.mark.parametrize("p", [131, 2039])
+def test_reduce_is_exact_on_every_float32_integer_below_2_24(p):
+    for lo in range(0, 2**24, 2**20):
+        x = np.arange(lo, lo + 2**20, dtype=np.int64)
+        got = _reduce(x.astype(np.float32), p)
+        assert got.dtype == np.float32
+        assert np.array_equal(got.astype(np.int64), x % p), lo
+
+
 def minors_vanish(a, b, p) -> bool:
     """The former definition of proportionality: a zero vector, or all 2x2 minors 0."""
     a, b = [int(x) for x in a], [int(x) for x in b]
