@@ -65,6 +65,8 @@ MATRIX = [
     ["dim", "L(2,3;2@H5)"],
     ["dim", "L(2,4;2^5)", "--prime", "3"],
     ["dim", "L(2,4;2^5)", "--prime", "9"],
+    ["dim", "L(2,4;1@H0,1[1@pt0]@H0)", "--prime", "7"],
+    ["dim", "L(2,4;1@H0,1[1@pt0]@H0)", "--prime", "7", "--json"],
     ["seq", "--n", "2", "--d", "4", "--prime", "7"],
     [],
 ]
