@@ -71,7 +71,7 @@ import numpy as np
 
 from .ffield import (_EXACT, MAX_MODULUS, FieldMatrix, _floor_mod, _reduce, check_modulus,
                      is_prime, kernel_basis, rank)
-from .formulas import is_perfect, k
+from .formulas import is_perfect, k, projective_count
 from .monomials import MonomialBasis, _power_table, monomial_basis
 from .schemes import SchemeSpec, condition_matrix, double_points, sample
 
@@ -99,10 +99,6 @@ class RationalMap:
     @property
     def basis(self) -> MonomialBasis:
         return monomial_basis(self.n, self.d)
-
-
-def projective_count(n: int, p: int) -> int:
-    return (p ** (n + 1) - 1) // (p - 1)
 
 
 def _census_cost(n: int, d: int, p: int) -> int:
@@ -232,6 +228,8 @@ def _positions(vals: np.ndarray, p: int, inv_table: np.ndarray) -> np.ndarray:
     inv_table, and float64 while (p-1)^2 <= 2^52, with an int32 or float64
     one, so each product x_j inv(x_0) is reduced exactly."""
     n = len(vals) - 1
+    # a row-major copy: _chart0_positions overwrites x_1..x_n in place, and a
+    # held batch (column-major, as its fancy-indexed tails) gets contiguous rows
     idx, rest, tail = _chart0_positions(vals.copy(), p, inv_table)
     if rest.size:
         # x_0 = 0: the positions of x_1..x_n in P^{n-1}, after the p^n of chart 0
@@ -541,17 +539,9 @@ def quadric_rank(coeffs, basis: MonomialBasis, p: int) -> int:
         raise ValueError(f"quadric rank needs degree 2, got {basis.d}")
     p = check_modulus(p)
     coeffs = np.asarray(coeffs, dtype=np.int64) % p
-    n = basis.n
-    inv2 = pow(2, -1, p)
+    n, exps = basis.n, basis.exponent_array
+    # monomial x_i x_j with i <= j: its first and its last variable
+    i, j = exps.argmax(axis=1), n - exps[:, ::-1].argmax(axis=1)
     sym = np.zeros((n + 1, n + 1), dtype=np.int64)
-    for idx, beta in enumerate(basis.exponents):
-        c = int(coeffs[idx])
-        if c == 0:
-            continue
-        nz = [i for i, e in enumerate(beta) if e]
-        if len(nz) == 1:
-            sym[nz[0], nz[0]] = c
-        else:
-            i, j = nz
-            sym[i, j] = sym[j, i] = c * inv2 % p
+    sym[i, j] = sym[j, i] = np.where(i == j, coeffs, coeffs * pow(2, -1, p) % p)
     return rank(FieldMatrix(sym, p))

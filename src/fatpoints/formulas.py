@@ -28,6 +28,10 @@ def is_perfect(n: int, d: int) -> bool:
     return k(n, d).denominator == 1
 
 
+def projective_count(n: int, p: int) -> int:
+    return (p ** (n + 1) - 1) // (p - 1)
+
+
 def r(n: int, d: int) -> int:
     """Largest checked double-point count a with L_{n,d}(3, 2^a) nonspecial.
 

@@ -17,8 +17,8 @@ the absolute point K, so equal consecutive items collapse like any others:
 Examples: "L(3,3;2^4)", "L(5,4;3[10],2^8,2^6@H3)".
 
 The grammar cannot express explicit coordinates or mixed per-point direction
-placements; such specs are built as SchemeSpec objects in code, and
-SchemeSpec.to_dict() shows them as JSON. print_spec is the canonical printer:
+placements; such specs are built as SchemeSpec objects in code. print_spec is
+the canonical printer, and reports print every system they name with it:
 parse(print_spec(s)) == s for every expressible spec, and print∘parse is
 idempotent on strings.
 """

@@ -86,7 +86,9 @@ def point_rows(basis: MonomialBasis, pts, m: int, directions, p: int) -> np.ndar
     >= m, by the Euler relation as p > d). Then one row per direction v: the
     coefficient of t^m in each monomial at pt + t*v, i.e. the sum over |alpha| = m
     of v^alpha / alpha! times the order-m derivative rows; with the point rows it
-    puts v in the tangent cone. v must not be proportional to its point.
+    puts v in the tangent cone. A v proportional to its point is refused, by
+    one batched check of every direction: the only judge of a degenerate
+    direction, as sample() draws and returns directions unjudged.
     """
     n, d = basis.n, basis.d
     if not 1 <= m < check_modulus(p):
@@ -101,7 +103,7 @@ def point_rows(basis: MonomialBasis, pts, m: int, directions, p: int) -> np.ndar
         vs = np.array([v for dirs in directions for v in dirs], dtype=np.int64)
         vs = vs.reshape(-1, n + 1)
         if _proportional(pts[owner], vs, p).any():
-            raise ValueError("direction vector is proportional to the base point")
+            raise ValueError("direction is proportional to its base point")
     rows = _derivative_rows(pts, d, m - 1, p)
     h, k, width = rows.shape
     rows = rows.reshape(h * k, width)

@@ -12,8 +12,8 @@ generic value and equals it with high probability.
 
 Every dimension call runs sample and condition_matrix once per trial, so
 their per-call work is kept to the draw and the rows. A SchemeSpec computes
-the facts they read (oversized multiplicities, row and direction counts,
-distinct multiplicities, the points that carry @ptK) once, at construction.
+the facts they read (oversized multiplicities, the row count, distinct
+multiplicities, the points that carry @ptK) once, at construction.
 Placement and FatPoint are named tuples, so a draw lookup hashes and
 compares plain tuples. With a single multiplicity the rows of point_rows are
 the matrix, with no copy.
@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .ffield import DEFAULT_PRIMES, FieldMatrix, _proportional, check_modulus, normalize, rank
-from .formulas import AH_SPORADIC
+from .formulas import AH_SPORADIC, projective_count
 from .monomials import monomial_basis, point_rows
 
 GENERIC = "generic"
@@ -74,28 +74,11 @@ class Placement(NamedTuple):
     def near_cluster(center: int) -> "Placement":
         return Placement(CLUSTER, center=center)
 
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind == SUBSPACE:
-            out["dim"] = self.dim
-        elif self.kind == EXPLICIT:
-            out["coords"] = list(self.coords)
-        elif self.kind == CLUSTER:
-            out["center"] = self.center
-        return out
-
 
 class FatPoint(NamedTuple):
     placement: Placement
     multiplicity: int = 1
     directions: tuple[Placement, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "multiplicity": self.multiplicity,
-            "placement": self.placement.to_dict(),
-            "directions": [d.to_dict() for d in self.directions],
-        }
 
 
 @dataclass(frozen=True)
@@ -108,8 +91,8 @@ class SchemeSpec:
     points: tuple[FatPoint, ...] = ()
     # indices of points with m >= d + 2: legal, but certainly empty
     oversized_multiplicities: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    direction_count: int = field(init=False, repr=False, compare=False)
-    _condition_rows: int = field(init=False, repr=False, compare=False)
+    # derivative rows of every point plus one row per tangent direction
+    condition_rows: int = field(init=False, repr=False, compare=False)
     _multiplicities: frozenset[int] = field(init=False, repr=False, compare=False)
     # indices of points with an @ptK placement or direction
     _cluster_points: frozenset[int] = field(init=False, repr=False, compare=False)
@@ -128,8 +111,7 @@ class SchemeSpec:
             "oversized_multiplicities": tuple(
                 i for i, pt in enumerate(points) if pt.multiplicity >= self.d + 2
             ),
-            "direction_count": directions,
-            "_condition_rows": sum(comb(pt.multiplicity - 1 + self.n, self.n) for pt in points)
+            "condition_rows": sum(comb(pt.multiplicity - 1 + self.n, self.n) for pt in points)
             + directions,
             "_multiplicities": frozenset(pt.multiplicity for pt in points),
             "_cluster_points": frozenset(
@@ -172,12 +154,6 @@ class SchemeSpec:
             # sampling is sequential; a cluster or chord may only use earlier points
             raise ValueError(f"{where}: must reference an earlier point, got point {pl.center}")
 
-    def condition_rows(self) -> int:
-        return self._condition_rows
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "d": self.d, "points": [pt.to_dict() for pt in self.points]}
-
 
 def _in_flag(pl: Placement, k: int) -> bool:
     """Whether every sample of the placement lies in the flag member H_k."""
@@ -189,7 +165,7 @@ def _in_flag(pl: Placement, k: int) -> bool:
 
 
 def virtual_dim(spec: SchemeSpec) -> int:
-    return comb(spec.d + spec.n, spec.n) - 1 - spec.condition_rows()
+    return comb(spec.d + spec.n, spec.n) - 1 - spec.condition_rows
 
 
 def expected_dim(spec: SchemeSpec) -> int:
@@ -224,10 +200,11 @@ def sample(spec: SchemeSpec, prime: int, seed: int) -> SampledScheme:
     coordinates, an explicit direction. A randomly placed point (generic, on H_k
     with k >= 1, or @ptK) that repeats an earlier point is drawn again, so it
     imposes its own conditions; a point whose locus the earlier points already
-    fill is refused. Fixed points (explicit, on H_0) may repeat. An explicit
-    direction proportional to its point is refused only once the point's
-    coordinates are accepted, so a point whose first draw repeats point K is
-    redrawn even when it carries a chord toward K. Each point is
+    fill is refused. Fixed points (explicit, on H_0) may repeat. A direction
+    is not judged here: an explicit one proportional to its point, as a chord
+    from a fixed point toward itself, is refused by point_rows when
+    condition_matrix builds the rows, and a point whose first draw repeats
+    point K is redrawn even when it carries a chord toward K. Each point is
     drawn once per process by _sample_one, so the arrays returned are read-only
     and may be shared between calls.
     """
@@ -246,7 +223,7 @@ def sample(spec: SchemeSpec, prime: int, seed: int) -> SampledScheme:
                 tuple(Placement.explicit(pts[dr.center]) if dr.kind == CLUSTER else dr
                       for dr in pt.directions),
             )
-        coords, vecs, degenerate = _sample_one(p, seed, idx, spec.n, pt, 0)
+        coords, vecs = _sample_one(p, seed, idx, spec.n, pt, 0)
         key = coords.tobytes()
         attempt = 0
         while key in taken:
@@ -255,16 +232,14 @@ def sample(spec: SchemeSpec, prime: int, seed: int) -> SampledScheme:
             k = pt.placement.dim if kind == SUBSPACE else 0 if kind == EXPLICIT else spec.n
             if not k:
                 break
-            size = (p ** (k + 1) - 1) // (p - 1)
+            size = projective_count(k, p)
             if len({v.tobytes() for v in pts if not v[k + 1 :].any()}) >= size:
                 locus = f"H_{k}" if k < spec.n else f"P^{k}"
                 raise ValueError(f"point {idx}: the earlier points take all {size} points "
                                  f"of {locus}(F_{p}), so it cannot be placed apart from them")
             attempt += 1
-            coords, vecs, degenerate = _sample_one(p, seed, idx, spec.n, pt, attempt)
+            coords, vecs = _sample_one(p, seed, idx, spec.n, pt, attempt)
             key = coords.tobytes()
-        if degenerate:
-            raise ValueError("direction is proportional to its base point")
         taken.add(key)
         pts.append(coords)
         dirs.append(vecs)
@@ -275,9 +250,10 @@ def sample(spec: SchemeSpec, prime: int, seed: int) -> SampledScheme:
 @lru_cache(maxsize=4096)
 def _sample_one(
     prime: int, seed: int, index: int, n: int, point: FatPoint, attempt: int
-) -> tuple[np.ndarray, tuple[np.ndarray, ...], bool]:
-    """The read-only coordinates and direction vectors of point `index`, and
-    whether an explicit direction is proportional to the point.
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The read-only coordinates and direction vectors of point `index`; an
+    explicit direction is returned as given, reduced, even when it is
+    proportional to the point (point_rows refuses it).
 
     The key is everything the draw reads: the substream (prime, seed, index,
     attempt), n, and the point's placement and directions, which sample() has
@@ -287,11 +263,9 @@ def _sample_one(
     rng = _point_rng(prime, seed, index, attempt)
     coords = _sample_point(point.placement, n, prime, rng)
     vecs = tuple(_sample_direction(dr, coords, n, prime, rng) for dr in point.directions)
-    degenerate = any(dr.kind == EXPLICIT and _proportional(coords, v, prime)
-                     for dr, v in zip(point.directions, vecs))
     for v in (coords, *vecs):
         v.setflags(write=False)
-    return coords, vecs, degenerate
+    return coords, vecs
 
 
 def _uniform(pl: Placement, n: int, p: int, rng) -> np.ndarray:
@@ -327,7 +301,8 @@ def condition_matrix(spec: SchemeSpec, prime: int, seed: int) -> FieldMatrix:
     multiplicity, after its point's derivative rows. The rows of all points of
     one multiplicity come from one point_rows call and are written into the
     matrix at their points' offsets; with a single multiplicity that call's
-    result is the matrix. The kernel is the sampled linear system.
+    result is the matrix. The kernel is the sampled linear system. point_rows
+    refuses a direction proportional to its point.
     """
     if spec.oversized_multiplicities:
         raise ValueError(

@@ -328,7 +328,7 @@ def _op_castelnuovo(case, primes, seeds, budget) -> dict:
     h0 = {}
     for name, s in (("system", spec), ("kernel", kernel), ("trace", trace)):
         h0[name] = dimension(s, primes, seeds).computed + 1
-    return {"kernel": kernel.to_dict(), "trace": trace.to_dict(), "h0": h0,
+    return {"kernel": print_spec(kernel), "trace": print_spec(trace), "h0": h0,
             "subadditive": h0["system"] <= h0["kernel"] + h0["trace"]}
 
 

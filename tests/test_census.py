@@ -61,6 +61,24 @@ def test_positions_follow_the_canonical_enumeration():
             assert np.array_equal(got, np.arange(projective_count(n, p) + 1)), (dtype, n, p)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_positions_leave_their_input_and_ignore_its_memory_order(dtype):
+    # a held batch of x_0 = 0 images is column-major; _positions works on a row-major copy
+    n, p = 3, 7
+    rng = np.random.default_rng(5)
+    pts = np.array(list(canonical_points(n, p)) + [(0,) * (n + 1)])
+    pts = pts[rng.permutation(len(pts))]
+    cols = np.asfortranarray((pts * rng.integers(1, p, (len(pts), 1)) % p).T.astype(dtype))
+    rows = np.ascontiguousarray(cols)
+    assert cols.flags.f_contiguous and not cols.flags.c_contiguous
+    inv_table = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=dtype)
+    before = cols.copy()
+    got = census._positions(cols, p, inv_table)
+    assert np.array_equal(got, census._positions(rows, p, inv_table))
+    assert np.array_equal(cols, before) and np.array_equal(rows, before)
+    assert np.array_equal(np.sort(got), np.arange(projective_count(n, p) + 1))
+
+
 def _canonical_point(index, n, p):
     """The index-th point of canonical_points(n, p), or 0 at |P^n(F_p)|."""
     for lead in range(n + 1):

@@ -11,6 +11,8 @@ import pytest
 import fatpoints
 from fatpoints import census, suites
 from fatpoints.cli import main
+from fatpoints.grammar import parse_spec
+from fatpoints.schemes import castelnuovo_split
 from fatpoints.suites import load_manifest, run_suite
 
 PAYLOAD_KEYS = {"tool_version", "subcommand", "primes", "seeds", "result", "timings"}
@@ -506,8 +508,17 @@ def test_castelnuovo(capsys):
     res = observed(payload)
     assert res["subadditive"] is True
     assert res["h0"]["system"] <= res["h0"]["kernel"] + res["h0"]["trace"]
-    assert res["kernel"]["d"] == 3
-    assert res["trace"]["n"] == 2
+    assert parse_spec(res["kernel"]).d == 3
+    assert parse_spec(res["trace"]).n == 2
+
+
+# the last has tangent directions on the hyperplane, which the trace keeps
+@pytest.mark.parametrize("spec", ["L(3,4;3@H2,2^3)", "L(3,4;2^3@H2)", "L(4,4;3[4@H3]@H3,2^5)"])
+def test_castelnuovo_strings_carry_the_split(capsys, spec):
+    code, payload, _ = run_json(capsys, ["castelnuovo", spec])
+    assert code == 0
+    res = observed(payload)
+    assert (parse_spec(res["kernel"]), parse_spec(res["trace"])) == castelnuovo_split(parse_spec(spec))
 
 
 def test_suite_subcommand(capsys):

@@ -25,7 +25,7 @@ def test_parse_simple_doubles():
     assert len(s.points) == 4
     assert all(p.multiplicity == 2 for p in s.points)
     assert all(p.placement.kind == GENERIC for p in s.points)
-    assert s.direction_count == 0
+    assert not any(p.directions for p in s.points)
 
 
 def test_parse_mixed_item_forms():
@@ -41,7 +41,7 @@ def test_parse_mixed_item_forms():
     assert all(
         p.placement == Placement.on_subspace(3) for p in s.points[9:]
     )
-    assert s.direction_count == 10
+    assert sum(len(p.directions) for p in s.points) == 10
 
 
 def test_parse_empty_and_whitespace():
@@ -186,21 +186,3 @@ def test_parse_print_round_trip(spec):
     assert print_spec(parse_spec(text)) == text
 
 
-def test_to_dict_shows_inexpressible_specs():
-    exp = SchemeSpec(
-        2, 3, (FatPoint(Placement.explicit((1, 2, 0)), 2, (Placement.on_subspace(1),)),)
-    )
-    assert exp.to_dict() == {
-        "n": 2,
-        "d": 3,
-        "points": [
-            {
-                "multiplicity": 2,
-                "placement": {"kind": "explicit", "coords": [1, 2, 0]},
-                "directions": [{"kind": "subspace", "dim": 1}],
-            }
-        ],
-    }
-    cluster = parse_spec("L(2,3;2,1[1@pt0]@pt0)").to_dict()["points"][1]
-    assert cluster["placement"] == {"kind": "cluster", "center": 0}
-    assert cluster["directions"] == [{"kind": "cluster", "center": 0}]

@@ -232,10 +232,10 @@ def test_sample_redraws_a_point_that_repeats_the_target_of_its_chord():
     assert np.array_equal(sm.points[1], redraw)
     assert not np.array_equal(sm.points[1], sm.points[0])
     assert np.array_equal(sm.directions[1][0], sm.points[0])
-    # an explicit direction proportional to its accepted point is still refused
+    # an explicit direction proportional to its accepted point is still refused, by its rows
     point = FatPoint(Placement.explicit((1, 2, 3)), 1, (Placement.explicit((2, 4, 6)),))
     with pytest.raises(ValueError, match="proportional to its base point"):
-        sample(SchemeSpec(2, 3, (point,)), 7, 0)
+        condition_matrix(SchemeSpec(2, 3, (point,)), 7, 0)
 
 
 def test_sample_keeps_fixed_repeats_and_refuses_a_full_locus():
@@ -264,8 +264,7 @@ def test_condition_matrix_shapes_and_rank():
 
 def test_condition_rows_counts_directions():
     spec = parse_spec("L(5,4;3[10],2^8,2^6@H3)")
-    assert spec.condition_rows() == comb(2 + 5, 5) + 14 * 6 + 10
-    assert spec.direction_count == 10
+    assert spec.condition_rows == comb(2 + 5, 5) + 14 * 6 + 10
 
 
 def test_dimension_examples():
@@ -483,7 +482,6 @@ def _facts_by_their_old_definitions(spec):
     directions = sum(len(pt.directions) for pt in pts)
     return (
         tuple(i for i, pt in enumerate(pts) if pt.multiplicity >= spec.d + 2),
-        directions,
         sum(comb(pt.multiplicity - 1 + n, n) for pt in pts) + directions,
         {i for i, pt in enumerate(pts)
          if any(pl.kind == schemes.CLUSTER for pl in (pt.placement, *pt.directions))},
@@ -506,6 +504,6 @@ def test_spec_facts_equal_their_old_definitions():
              SchemeSpec(2, 3)]
     assert len(specs) > 200
     for spec in specs:
-        got = (spec.oversized_multiplicities, spec.direction_count, spec.condition_rows(),
+        got = (spec.oversized_multiplicities, spec.condition_rows,
                spec._cluster_points, spec._multiplicities)
         assert got == _facts_by_their_old_definitions(spec), spec
