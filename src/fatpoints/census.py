@@ -57,7 +57,13 @@ one chart's tensor contracted over its trailing grid, (n+1)(d+1)^l p^t
 entries for l leading variables; the buffers of one block of at most _CHUNK
 points; the held x_1..x_n of fewer than 2 _CHUNK images with x_0 = 0; and at
 the end a histogram of at most 2^12 dense entries plus one per fiber of 2^12
-points or more.
+points or more. The histogram scans the counts a slice of _CHUNK at a time.
+np.bincount increments one bin per count, and on a run of equal counts each
+increment waits for the last, so a slice with at most 1/8 of its counts
+above 1 (nearly every slice of a birational or fiber-type census) counts its
+ones by comparison and bincounts only its counts above 1, holding two boolean
+masks of the slice and those counts. A denser slice is bincounted whole,
+through an intp copy of the slice.
 """
 
 from __future__ import annotations
@@ -364,11 +370,23 @@ def _histogram(counts: np.ndarray, chunk: int = _CHUNK) -> dict[int, int]:
     counts at a time, so that no intp copy of a narrow counts array is made
     whole. Sizes below _LARGE_FIBER go through np.bincount; the few at or
     above it (contracted loci) through np.unique, so the histogram is bounded
-    by the cut, not by the largest fiber."""
+    by the cut, not by the largest fiber.
+
+    np.bincount stalls on a run of equal counts: each increment waits for the
+    last one to the same bin, 3.4 to 4.3 ns a count against about 2 on
+    Poisson-like counts. Most counts of a census are 0 (fiber type) or 1
+    (birational), so a slice with at most 1/8 of its counts above 1 counts
+    its ones by comparison and bincounts only the counts above 1; a denser
+    slice (a double cover, Poisson-like counts) is bincounted whole. On
+    randomly placed counts the two cost the same near 3/32."""
     freq = np.zeros(_LARGE_FIBER + 1, dtype=np.int64)
     large = []
     for start in range(0, len(counts), chunk):
         part = counts[start : start + chunk]
+        above = part > 1
+        if 8 * np.count_nonzero(above) <= len(part):
+            freq[1] += np.count_nonzero(part == 1)
+            part = part[above]
         if part.max(initial=0) >= _LARGE_FIBER:
             large.append(part[part >= _LARGE_FIBER])
             part = np.minimum(part, _LARGE_FIBER)

@@ -379,6 +379,16 @@ def test_count_width_follows_the_domain():
     assert census._count_dtype(2**31) is np.int64
 
 
+def _census_numpy_with(monkeypatch, **names) -> None:
+    """Give census a numpy whose attributes names are replaced."""
+
+    class Numpy:
+        def __getattr__(self, name):
+            return names[name] if name in names else getattr(np, name)
+
+    monkeypatch.setattr(census, "np", Numpy())
+
+
 def test_fiber_census_counts_with_a_typed_one(monkeypatch):
     # np.add.at takes a slow path for a Python int 1; the census passes a scalar of its dtype
     scalars = []
@@ -388,13 +398,7 @@ def test_fiber_census_counts_with_a_typed_one(monkeypatch):
             scalars.append((counts.dtype, type(one)))
             np.add.at(counts, idx, one)
 
-    class Numpy:
-        add = Add()
-
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-    monkeypatch.setattr(census, "np", Numpy())
+    _census_numpy_with(monkeypatch, add=Add())
     fiber_census(RationalMap(2, 1, 7, np.eye(3, dtype=np.int64)))
     assert scalars and set(scalars) == {(np.dtype(np.int32), np.int32)}
 
@@ -436,6 +440,104 @@ def test_histogram_memory_is_bounded_by_the_cut():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def _bincount_lengths(monkeypatch) -> list[int]:
+    """The length of every array census._histogram bincounts from now on."""
+    lengths = []
+
+    def bincount(x, *args, **kwargs):
+        lengths.append(len(x))
+        return np.bincount(x, *args, **kwargs)
+
+    _census_numpy_with(monkeypatch, bincount=bincount)
+    return lengths
+
+
+# a short slice and the census chunk
+SLICES = [64, census._CHUNK]
+
+
+@pytest.mark.parametrize("fill", [0, 1])
+@pytest.mark.parametrize("chunk", SLICES)
+def test_histogram_of_one_repeated_count_bincounts_nothing(monkeypatch, chunk, fill):
+    # every slice, the short last one too, counts its zeros and ones by comparison
+    counts = np.full(3 * chunk + 7, fill, np.int32)
+    lengths = _bincount_lengths(monkeypatch)
+    assert census._histogram(counts, chunk) == ({1: 3 * chunk + 7} if fill else {})
+    assert lengths == [0] * 4
+
+
+@pytest.mark.parametrize("chunk", SLICES)
+def test_histogram_bincounts_a_slice_whole_past_one_eighth_above_one(monkeypatch, chunk):
+    # zeros and ones, with chunk / 8 - 1, chunk / 8 and chunk / 8 + 1 counts above 1
+    rng = np.random.default_rng(chunk)
+    counts = rng.integers(0, 2, 3 * chunk, dtype=np.int32)
+    above = [chunk // 8 - 1, chunk // 8, chunk // 8 + 1]
+    for i, many in enumerate(above):
+        counts[i * chunk + rng.choice(chunk, many, replace=False)] = rng.integers(2, 6, many)
+    lengths = _bincount_lengths(monkeypatch)
+    assert census._histogram(counts, chunk) == _dense_histogram(counts)
+    assert lengths == above[:2] + [chunk]
+
+
+@pytest.mark.parametrize("chunk", SLICES)
+def test_sparse_slices_count_fibers_past_the_cut(monkeypatch, chunk):
+    # mostly zeros, a few ones and small fibers, and sizes on both sides of the cut
+    cut = census._LARGE_FIBER
+    counts = np.random.default_rng(chunk).choice(
+        np.arange(4, dtype=np.int32), 2 * chunk + 5, p=[0.9, 0.05, 0.03, 0.02])
+    counts[[1, 2, chunk + 2, 2 * chunk + 1]] = [cut, cut - 1, 3 * cut, cut]
+    lengths = _bincount_lengths(monkeypatch)
+    hist = census._histogram(counts, chunk)
+    assert hist == _dense_histogram(counts)
+    assert list(hist) == sorted(hist)
+    assert len(lengths) == 3 and max(lengths) <= chunk // 8
+
+
+@pytest.mark.parametrize("chunk", SLICES)
+def test_histogram_of_int64_counts(chunk):
+    # the counts of a domain of 2^31 points or more, with a fiber past int32
+    counts = np.random.default_rng(chunk).choice(
+        np.arange(4, dtype=np.int64), 2 * chunk + 5, p=[0.9, 0.05, 0.03, 0.02])
+    counts[[3, chunk + 4]] = [2**31 + 5, census._LARGE_FIBER]
+    assert census._histogram(counts, chunk) == dict(Counter(counts[counts > 0].tolist()))
+
+
+# one slice of counts each: mostly 0 (fiber type), mostly 1 (birational),
+# 0 or 2 (a double cover) and Poisson-like (a generic finite map)
+SLICE_KINDS = {
+    "mostly 0": lambda rng, size: rng.choice(4, size, p=[0.93, 0.04, 0.02, 0.01]),
+    "mostly 1": lambda rng, size: rng.choice(4, size, p=[0.03, 0.94, 0.02, 0.01]),
+    "double cover": lambda rng, size: 2 * rng.integers(0, 2, size),
+    "Poisson": lambda rng, size: rng.poisson(1.0, size),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_histogram_of_mixed_slices_equals_one_bincount(data):
+    chunk = data.draw(st.sampled_from(SLICES), label="chunk")
+    kinds = data.draw(st.lists(st.sampled_from(sorted(SLICE_KINDS)), min_size=1, max_size=5),
+                      label="kinds")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    counts = np.concatenate([SLICE_KINDS[kind](rng, chunk) for kind in kinds]).astype(np.int32)
+    # a short last slice
+    counts = counts[: len(counts) - data.draw(st.integers(0, chunk - 1), label="cut short")]
+    assert census._histogram(counts, chunk) == _dense_histogram(counts)
+
+
+def test_sparse_histogram_memory_is_bounded_by_two_slices():
+    # all ones but one fiber of 10^7 points: no slice is copied to intp for np.bincount
+    counts = np.ones(1 << 22, dtype=np.int32)
+    counts[12345] = 10**7
+    tracemalloc.start()
+    try:
+        assert census._histogram(counts) == {1: (1 << 22) - 1, 10**7: 1}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * census._CHUNK * counts.itemsize
 
 
 def test_all_zero_map_is_all_base_points():

@@ -1,13 +1,14 @@
 import hashlib
 import json
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fatpoints.ffield import rank
+from fatpoints.ffield import FieldMatrix, rank
 from fatpoints.formulas import k
 from fatpoints.grammar import parse_spec
 from fatpoints import census, schemes
@@ -250,6 +251,18 @@ def test_sample_keeps_fixed_repeats_and_refuses_a_full_locus():
         sample(parse_spec("L(2,5;1^9@H1)"), 7, 0)
     with pytest.raises(ValueError, match=r"all 8 points of P\^1\(F_7\)"):
         sample(parse_spec("L(1,5;1^9)"), 7, 0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="sample asks for distinct points only: at (p = 251, seed 0) points 1, 5 "
+    "and 6 of the Geiser draw are collinear (ROADMAP, Known defects)",
+)
+def test_geiser_draw_has_no_collinear_triple():
+    # the same seven points sit under the known suite's L(2,3;1^7)
+    points = sample(parse_spec("L(2,8;3^7)"), 251, 0).points
+    assert all(rank(FieldMatrix(np.vstack(triple), 251)) == 3
+               for triple in combinations(points, 3))
 
 
 def test_condition_matrix_shapes_and_rank():
