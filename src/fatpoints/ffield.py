@@ -1,9 +1,11 @@
 """Exact linear algebra over prime fields.
 
-Matrices are dense int64 numpy arrays with entries reduced mod p. Elimination
+Matrices are dense numpy arrays with entries reduced mod p: uint32, the type
+`_row_dtype` gives the condition rows when p < 2^16, or int64. Elimination
 is a row-batch Gauss-Jordan (`_reduced_rows`) that uses modular inverses
 (``pow(x, -1, p)``), so everything stays integral, and it is exact for every
-p < MAX_MODULUS:
+p < MAX_MODULUS. It takes each batch of rows as a new int64 array, so a
+uint32 matrix is never copied whole:
 
 - Row steps inside a batch run in int64. A product of two residues is below
   (p-1)^2 < 2^62, and entries are reduced before enough such products could be
@@ -23,37 +25,42 @@ the order found, each beside its pivot.
 Column j of A^T is a pivot exactly when row j of A is independent of rows
 0..j-1, so one elimination of A^T gives the rank of every row prefix of A.
 `rank` keeps them: for a matrix with at most as many rows as columns it
-stores the rank of rows 0..i-1, for every i, under the blake2b digest of
-(p, cols, those rows' residues as uint16 if p < 2^16, else as int32), and it
-looks a wide or square matrix up by its whole digest before eliminating it.
-Hashing is most of what a lookup costs, hence the narrow types; p fixes the
-type, so the key still determines the matrix. So a matrix that is a row prefix
-of, or equal to, one already ranked in this process costs one digest; the
-sampled systems of one (n, d, p, seed) with h double points are such
-prefixes. A tall matrix is never a prefix of a recorded one and is
-eliminated without a lookup. The memo holds at most _PREFIX_CAP digests and
-is cleared when full. A digest is trusted because a wrong hit needs a
-128-bit blake2b digest of different (p, cols, rows) to equal one of the at
-most 2^16 stored: a chance of at most 2^-112 per lookup.
+stores the rank of rows 0..i-1, for every i, under the SHA-256 digest, cut to
+16 bytes, of (p, cols, those rows' residues as uint16 if p < 2^16, else as
+int32), and it looks a wide or square matrix up by its whole digest before
+eliminating it. Hashing is most of what a lookup costs, hence the narrow
+types, and SHA-256, which a CPU with SHA extensions hashes at nearly twice
+the rate of blake2b. p fixes the type, so the key still determines the
+matrix, and equal residues give one key whether they came as uint32 or
+int64. So a matrix that is a row prefix of, or equal to, one already ranked
+in this process costs one digest; the sampled systems of one (n, d, p, seed)
+with h double points are such prefixes. A tall matrix is never a prefix of a
+recorded one and is eliminated without a lookup. The memo holds at most
+_PREFIX_CAP digests and is cleared when full. A digest is trusted because a
+wrong hit needs the first 128 bits of the SHA-256 digest of different (p,
+cols, rows) to equal one of the at most 2^16 stored: a chance of at most
+2^-112 per lookup.
 
 This module owns the residue arithmetic of the package: `_reduce` is the one
 floating-point reduction mod p, shared by elimination (float64) and the
-census (float32 or float64), `_floor_mod` the one int64 reduction of a
-large array, `normalize` the one projective representative, shared by
-sampling and kernel vectors, and `_proportional` the one proportionality
-test, one batch of 2x2 minors for any number of vector pairs.
+census (float32 or float64), `_floor_mod` the one integer reduction of a
+large array (int64, or uint32 rows), `normalize` the one projective
+representative, shared by sampling and kernel vectors, and `_proportional`
+the one proportionality test, one batch of 2x2 minors for any number of
+vector pairs.
 
-numpy divides an int64 array by a scalar with a multiply and a shift
+numpy divides an integer array by a scalar with a multiply and a shift
 (libdivide), but runs `%` as one hardware division per element, so
-`_floor_mod` computes x - (x // p) * p: on a 44,100-entry array about a
-third of the time of `x % p`. It costs three numpy calls where `%` costs
-one, so `%` is kept where arrays are small or few: in elimination, whose
-32-row batches lose by the extra calls, on scalars and single vectors, and
-on input of unknown range, such as FieldMatrix's. The row builder in
-`monomials` reduces with `_floor_mod` only. A product of r = `_fold(p)`
-residues, r = floor(63 / bit_length(p - 1)), stays below 2^63, so callers
-multiply r residues before each reduction: r = 4 at 32003, 3 at 65521 and 2
-at 2^31 - 1.
+`_floor_mod` computes x - (x // p) * p: on a 44,100-entry int64 array about
+a third of the time of `x % p`, and on uint32 about 40% of its int64 time.
+It costs three numpy calls where `%` costs one, so `%` is kept where arrays
+are small or few: in elimination, whose 32-row batches lose by the extra
+calls, on scalars and single vectors, and on input of unknown range, such as
+FieldMatrix's. The row builder in `monomials` reduces with `_floor_mod`
+only. A product of r = `_fold(p)` residues, r = floor(63 / bit_length(p -
+1)), stays below 2^63, so callers multiply r residues before each int64
+reduction: r = 4 at 32003, 3 at 65521 and 2 at 2^31 - 1. A uint32 array
+holds a product of two residues while p < 2^16.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ from __future__ import annotations
 import bisect
 import functools
 from dataclasses import dataclass
-from hashlib import blake2b
+from hashlib import sha256
 
 import numpy as np
 
@@ -77,7 +84,7 @@ _BATCH = 32
 # float64 holds every integer up to 2^53; sums are kept at most 2^52, which
 # bounds the rounding error of the quotient in _reduce.
 _EXACT = 2**52
-# about this many int64 entries per step of the in-place reduction _floor_mod
+# about this many entries per step of the in-place reduction _floor_mod
 _SLAB = 8192
 # Row-prefix digests `rank` keeps, about 105 bytes each, so about 7 MB at most.
 _PREFIX_CAP = 2**16
@@ -131,15 +138,18 @@ class FieldMatrix:
     a: np.ndarray
 
     def __init__(self, rows, p: int) -> None:
-        """An int64 array already reduced mod p is kept as it is, not copied,
-        and made read-only; any other input is reduced into a new array."""
+        """A uint32 or int64 array already reduced mod p is kept as it is, not
+        copied, and made read-only; any other input is reduced into a new
+        array, int64 unless it is uint32."""
         p = check_modulus(int(p))
-        arr = np.asarray(rows, dtype=np.int64)
+        uint32 = isinstance(rows, np.ndarray) and rows.dtype == np.uint32
+        arr = rows if uint32 else np.asarray(rows, dtype=np.int64)
         if arr.ndim != 2:
             raise ValueError("matrix data must be 2-dimensional")
-        # as uint64 a negative entry is at least 2^63, so one max finds every
-        # entry outside [0, p), at a twentieth of the cost of a full `% p`
-        if arr.size and arr.view(np.uint64).max() >= p:
+        # one max finds every entry outside [0, p), at a twentieth of the cost
+        # of a full `% p`: as uint64 a negative int64 entry is at least 2^63
+        unsigned = arr if uint32 else arr.view(np.uint64)
+        if arr.size and unsigned.max() >= p:
             arr = arr % p
         arr.setflags(write=False)
         object.__setattr__(self, "p", p)
@@ -155,12 +165,13 @@ class FieldMatrix:
 
 
 def _floor_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p in place, for an int64 array x with every entry >= -2^63 + p;
-    returns x.
+    """x mod p in place, for an int64 array x with every entry >= -2^63 + p,
+    or an unsigned one, such as uint32; returns x.
 
-    (x // p) * p lies in (x - p, x], so no step leaves the int64 range. x is
+    (x // p) * p lies in (x - p, x], so no step leaves the range of x's type:
+    for unsigned x the quotient times p is at most x. x is
     reduced in slabs of leading-axis rows, about _SLAB entries each: the
-    quotient buffer stays near 64 KiB, which the allocator hands back from its
+    quotient buffer stays within about 64 KiB, which the allocator hands back from its
     free lists, where a quotient as large as x would be fresh pages each call.
     """
     rows = max(1, _SLAB * len(x) // max(x.size, 1))
@@ -175,6 +186,12 @@ def _floor_mod(x: np.ndarray, p: int) -> np.ndarray:
 def _fold(p: int) -> int:
     """How many residues mod p an int64 product may take: (p-1)^r < 2^63."""
     return 63 // (p - 1).bit_length()
+
+
+def _row_dtype(p: int) -> type:
+    """The type of condition rows mod p: uint32 while a product of two residues
+    fits, (p-1)^2 < 2^32, that is p < 2^16; else int64."""
+    return np.uint32 if p < 2**16 else np.int64
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
@@ -283,10 +300,12 @@ def _reduced_rows(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if r == n:
             break
         x = a[start : start + _BATCH]
+        # each batch is taken as a new row-major int64 array, whatever a's
+        # dtype or order (A^T is a view), so a is never copied whole
         if r:
             x = _addmul(x, p - x[:, pivots], basis[:r], p).astype(np.int64)
         else:
-            x = x.copy()
+            x = x.astype(np.int64, order="C")
         new = _gauss_jordan(x, p)
         if not new:
             continue
@@ -312,10 +331,10 @@ def rank(m: FieldMatrix) -> int:
         return len(_reduced_rows(m.a, p)[1])
     # the narrowest type that holds every residue mod p exactly
     rows = np.ascontiguousarray(m.a, dtype=np.uint16 if p < 2**16 else np.int32)
-    prefix = blake2b(np.array([p, m.cols], dtype=np.int64).tobytes(), digest_size=16)
+    prefix = sha256(np.array([p, m.cols], dtype=np.int64).tobytes())
     whole = prefix.copy()
     whole.update(rows)
-    known = _PREFIX_RANKS.get(whole.digest())
+    known = _PREFIX_RANKS.get(whole.digest()[:16])
     if known is not None:
         return known
     pivots = sorted(_reduced_rows(m.a.T, p)[1])
@@ -323,7 +342,7 @@ def rank(m: FieldMatrix) -> int:
         prefix.update(row)
         if len(_PREFIX_RANKS) >= _PREFIX_CAP:
             _PREFIX_RANKS.clear()
-        _PREFIX_RANKS[prefix.digest()] = bisect.bisect_left(pivots, i)
+        _PREFIX_RANKS[prefix.digest()[:16]] = bisect.bisect_left(pivots, i)
     return len(pivots)
 
 

@@ -6,25 +6,30 @@ A degree-d form on P^n is a coefficient vector over the graded-lex basis
 Rows are residues mod p, a modulus ffield.check_modulus accepts, and assume
 p > d so the scaled derivative conditions stay faithful (derivative rows are
 not divided by alpha!; tangent rows divide by alpha! only for |alpha| = m <
-p). Residues are multiplied in int64, at most ffield._fold(p) of them before
-each reduction (4 at 32003, 2 at 2^31 - 1), so every product stays below
-2^63; each reduction of an array is one ffield._floor_mod, in place.
+p). The power tables and monomial values are multiplied in int64, at most
+ffield._fold(p) of them before each reduction (4 at 32003, 2 at 2^31 - 1),
+so every product stays below 2^63; these arrays are small, and folding four
+residues per reduction keeps their numpy calls few. The rows themselves are
+ffield._row_dtype(p): uint32 for p < 2^16, where a product of two residues
+is below 2^32, else int64. Each reduction of an array is one
+ffield._floor_mod, in place.
 
 Derivative rows use d^alpha x^beta = (beta)_alpha x^(beta - alpha), where
 (beta)_alpha = prod_i beta_i! / (beta_i - alpha_i)! is 0 unless alpha <= beta.
 An order-k row at a point is then scale[alpha, beta] times the degree-(d-k)
 monomial beta - alpha evaluated there. `_derivative_table` caches the
 point-independent half per (n, d, k, p): gather[alpha, beta], the index of
-beta - alpha in monomial_basis(n, d-k) (0 wherever scale is 0), and scale =
-(beta)_alpha mod p, two int64 arrays of binom(n+k, n) x binom(n+d, n)
-entries. point_rows checks the modulus and reduces the points once; the
-rows of a batch of points are then one evaluation of the power tables, one
-gather (`take`, so the rows come out contiguous), one `*= scale` and one
-_floor_mod in place, with no second array of the rows' size; both factors
-are residues, so the int64 product is exact. Each entry of a finished row is
-reduced once, and FieldMatrix does not reduce it again. All tangent
-directions of a batch are checked against their points by one
-ffield._proportional call.
+beta - alpha in monomial_basis(n, d-k) (0 wherever scale is 0), an int64
+array, and scale = (beta)_alpha mod p, in the rows' type, both of binom(n+k,
+n) x binom(n+d, n) entries. point_rows checks the modulus and reduces the
+points once; the rows of a batch of points are then one evaluation of the
+power tables, cast to the rows' type, one gather (`take`, so the rows come
+out contiguous), one `*= scale` and one _floor_mod in place, with no second
+array of the rows' size; both factors are residues, so the product is exact
+in the rows' type. Tangent rows are inserted into the same array, so
+point_rows gives one type per p. Each entry of a finished row is reduced
+once, and FieldMatrix keeps the array as it is. All tangent directions of a
+batch are checked against their points by one ffield._proportional call.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from math import comb, factorial, perm, prod
 
 import numpy as np
 
-from .ffield import _floor_mod, _fold, _proportional, check_modulus
+from .ffield import _floor_mod, _fold, _proportional, _row_dtype, check_modulus
 
 
 def _exponents(n: int, d: int) -> tuple[tuple[int, ...], ...]:
@@ -115,7 +120,8 @@ def point_rows(basis: MonomialBasis, pts, m: int, directions, p: int) -> np.ndar
     w = evaluate_basis(orders, vs, p)
     w *= np.array(inv_factorials, dtype=np.int64)
     terms = _derivative_rows(pts[owner], d, m, p)
-    terms *= _floor_mod(w, p)[:, :, None]
+    terms *= _floor_mod(w, p).astype(terms.dtype)[:, :, None]
+    # a uint32 sum is taken in uint64; np.insert casts it back to the rows' type
     tangent = _floor_mod(_floor_mod(terms, p).sum(axis=1), p)
     # each direction goes in after its point's k rows and the directions before it
     return np.insert(rows, (np.array(owner) + 1) * k, tangent, axis=0)
@@ -128,7 +134,7 @@ def _derivative_rows(pts: np.ndarray, d: int, k: int, p: int) -> np.ndarray:
     The result has shape (H, |monomial_basis(n, k)|, |monomial_basis(n, d)|).
     """
     gammas, gather, scale = _derivative_table(pts.shape[1] - 1, d, k, p)
-    rows = _evaluate(gammas, pts, p).take(gather, axis=1)
+    rows = _evaluate(gammas, pts, p).astype(scale.dtype, copy=False).take(gather, axis=1)
     rows *= scale
     return _floor_mod(rows, p)
 
@@ -148,9 +154,9 @@ def _derivative_table(n: int, d: int, k: int, p: int):
     betas = monomial_basis(n, d).exponent_array
     # perm(b, a) = b! / (b - a)!, and 0 for a > b
     falling = np.array(
-        [[perm(b, a) % p for a in range(k + 1)] for b in range(d + 1)], dtype=np.int64
+        [[perm(b, a) % p for a in range(k + 1)] for b in range(d + 1)], dtype=_row_dtype(p)
     )
-    scale = np.ones((len(alphas), len(betas)), dtype=np.int64)
+    scale = np.ones((len(alphas), len(betas)), dtype=falling.dtype)
     for i in range(n + 1):
         scale *= falling[betas[None, :, i], alphas[:, i, None]]
         scale = _floor_mod(scale, p)
@@ -159,7 +165,7 @@ def _derivative_table(n: int, d: int, k: int, p: int):
     below = np.array([[comb(g + n - i - 1, n - i) for g in range(gammas.d + 1)]
                       for i in range(n)], dtype=np.int64)
     tail_a, tail_b = k - alphas.cumsum(axis=1), d - betas.cumsum(axis=1)
-    gather = np.zeros_like(scale)
+    gather = np.zeros(scale.shape, dtype=np.int64)
     for i in range(n):
         g = tail_b[None, :, i] - tail_a[:, i, None]
         gather += below[i, np.clip(g, 0, gammas.d, out=g)]

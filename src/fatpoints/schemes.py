@@ -28,7 +28,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .ffield import DEFAULT_PRIMES, FieldMatrix, _proportional, check_modulus, normalize, rank
+from .ffield import (DEFAULT_PRIMES, FieldMatrix, _proportional, _row_dtype, check_modulus,
+                     normalize, rank)
 from .formulas import AH_SPORADIC, projective_count
 from .monomials import monomial_basis, point_rows
 
@@ -319,7 +320,7 @@ def condition_matrix(spec: SchemeSpec, prime: int, seed: int) -> FieldMatrix:
     sizes = [derivatives[m] + len(pt.directions) for m, pt in zip(mults, spec.points)]
     # the multiplicity of each row's point: a group's rows are the rows of its m
     row_mults = np.repeat(np.array(mults, dtype=np.int64), sizes)
-    a = np.empty((len(row_mults), len(basis)), dtype=np.int64)
+    a = np.empty((len(row_mults), len(basis)), dtype=_row_dtype(prime))
     for m in derivatives:
         idx = [i for i, pt_m in enumerate(mults) if pt_m == m]
         pts, dirs = [sm.points[i] for i in idx], [sm.directions[i] for i in idx]

@@ -83,6 +83,24 @@ def test_field_matrix_reduces_entries():
     assert not m.a.flags.writeable
 
 
+def test_field_matrix_keeps_reduced_uint32_rows():
+    # condition rows below p = 2^16 are uint32, kept as they are
+    a = np.array([[0, 6], [3, 5]], dtype=np.uint32)
+    m = FieldMatrix(a, 7)
+    assert m.a.dtype == np.uint32 and np.shares_memory(m.a, a)
+    assert not m.a.flags.writeable
+    # one entry out of range, the largest uint32 included, reduces the matrix
+    # into a new uint32 array
+    for bad in (7, 2**32 - 1):
+        b = np.array([[1, 2], [bad, 3]], dtype=np.uint32)
+        m = FieldMatrix(b, 7)
+        assert m.a.tolist() == [[1, 2], [bad % 7, 3]]
+        assert m.a.dtype == np.uint32 and not np.shares_memory(m.a, b)
+    # any other type is taken as int64
+    assert FieldMatrix(np.array([[1, 9]], dtype=np.int32), 7).a.tolist() == [[1, 2]]
+    assert FieldMatrix(np.array([[1, 9]], dtype=np.uint16), 7).a.dtype == np.int64
+
+
 FOLD_PRIMES = (3, 7, 32003, 65521, 2**31 - 1)
 
 
@@ -106,6 +124,26 @@ def test_floor_mod_matches_remainder(p, data):
     ints = st.integers(-(2**63) + p, 2**63 - 1)
     wide = data.draw(st.lists(ints, max_size=20)) + [-(2**63) + p, -1, 0, 2**63 - 1]
     assert _floor_mod(np.array(wide, dtype=np.int64), p).tolist() == [v % p for v in wide]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, (65521 - 1) ** 2), max_size=40),
+    st.lists(st.integers(1, 65521 - 2), max_size=10),
+    st.integers(1, 3),
+)
+def test_floor_mod_reduces_uint32_products(xs, multiples, width):
+    # as the row builder uses it below 2^16: uint32 products of two residues,
+    # up to (p-1)^2 at p = 65521, in a 2-D block; k*p - 1 is where an inexact
+    # quotient rounds up
+    p = 65521
+    xs += [k * p + e for k in multiples for e in (-1, 0)]
+    xs += [0, p - 1, p, (p - 1) ** 2] * width
+    x = np.array(xs[: len(xs) // width * width], dtype=np.uint32).reshape(-1, width)
+    want = [v % p for v in x.ravel().tolist()]
+    got = _floor_mod(x, p)
+    assert got is x and got.dtype == np.uint32
+    assert got.ravel().tolist() == want
 
 
 def test_field_matrix_is_write_protected():

@@ -13,6 +13,7 @@ in either order, and check that the memo's key and bound hold.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,9 +128,25 @@ def check_against_oracle(a: np.ndarray, p: int) -> None:
     st.sampled_from(PRIMES),
     st.sampled_from(KINDS),
     st.integers(0, 2**32 - 1),
+    st.booleans(),
 )
-def test_elimination_matches_oracle(m, n, p, kind, seed):
-    check_against_oracle(build(kind, m, n, p, seed), p)
+def test_elimination_matches_oracle(m, n, p, kind, seed, as_uint32):
+    a = build(kind, m, n, p, seed)
+    # below 2^16 condition rows are uint32; elimination takes each batch as int64
+    check_against_oracle(a.astype(np.uint32) if as_uint32 and p < 2**16 else a, p)
+
+
+def test_tall_uint32_rank_is_not_copied_whole_to_int64():
+    # a tall matrix is eliminated as it is; only its batches become int64
+    a = build("uniform", 40_000, 12, 32003, seed=3).astype(np.uint32)
+    m = FieldMatrix(a, 32003)
+    tracemalloc.start()
+    try:
+        assert rank(m) == 12
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -286,6 +303,21 @@ def test_memo_key_holds_the_modulus_and_the_width(monkeypatch):
     for b, p in views:
         assert rank(FieldMatrix(b, p)) == len(oracle_rref(b.tolist(), p)[1])
     assert len(eliminated) == len(views)
+
+
+@pytest.mark.parametrize("first", [np.int64, np.uint32])
+def test_memo_key_is_the_residues_not_their_type(first, monkeypatch):
+    # the rows of one system are uint32 or int64 by p alone, but the key must
+    # not depend on the type: equal residues are one memo entry
+    eliminated = fresh_memo(monkeypatch)
+    p = 32003
+    a = build("repeated-rows", 8, 20, p, seed=5)
+    second = np.uint32 if first is np.int64 else np.int64
+    want = prefix_ranks(a, p)
+    assert rank(FieldMatrix(a.astype(first), p)) == want[-1]
+    assert rank(FieldMatrix(a.astype(second), p)) == want[-1]
+    assert rank(FieldMatrix(a[:5].astype(second), p)) == want[4]
+    assert len(eliminated) == 1
 
 
 def test_memo_is_cleared_when_full_and_stays_right(monkeypatch):

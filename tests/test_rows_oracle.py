@@ -30,7 +30,8 @@ from fatpoints.schemes import (
 )
 from fatpoints.suites import flagged_system
 
-PRIMES = (32003, 65521, 2147483647)
+# 65521 is the last prime whose rows are uint32, 65537 the first whose rows stay int64
+PRIMES = (32003, 65521, 65537, 2147483647)
 
 
 @lru_cache(maxsize=None)
@@ -124,7 +125,7 @@ def test_point_rows_match_scalar_oracle(data):
             point_rows(basis, [pt], m, [dirs], p)
         return
     got = point_rows(basis, [pt], m, [dirs], p)
-    assert got.dtype == np.int64
+    assert got.dtype == (np.uint32 if p < 2**16 else np.int64)
     assert np.array_equal(got, oracle_rows(n, d, pt, m, dirs, p))
 
 

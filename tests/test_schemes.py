@@ -455,8 +455,11 @@ def pinned_systems():
 def condition_matrix_hashes() -> dict:
     out: dict = {}
     for suite, case_id, spec, primes, seeds in pinned_systems():
+        # hashed as int64, whatever type the rows are built in
         out.setdefault(suite, {})[case_id] = {
-            f"{p}:{s}": hashlib.sha256(condition_matrix(spec, p, s).a.tobytes()).hexdigest()
+            f"{p}:{s}": hashlib.sha256(
+                condition_matrix(spec, p, s).a.astype(np.int64).tobytes()
+            ).hexdigest()
             for p in primes
             for s in seeds
         }
