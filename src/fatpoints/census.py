@@ -63,7 +63,9 @@ increment waits for the last, so a slice with at most 1/8 of its counts
 above 1 (nearly every slice of a birational or fiber-type census) counts its
 ones by comparison and bincounts only its counts above 1, holding two boolean
 masks of the slice and those counts. A denser slice is bincounted whole,
-through an intp copy of the slice.
+through an intp copy of the slice, and so is the slice after it: the whole
+bincount's bins 0 and 1 give the share above 1 that chooses the next
+branch, so only the first slice and a slice after a sparse one are tested.
 """
 
 from __future__ import annotations
@@ -378,19 +380,29 @@ def _histogram(counts: np.ndarray, chunk: int = _CHUNK) -> dict[int, int]:
     (birational), so a slice with at most 1/8 of its counts above 1 counts
     its ones by comparison and bincounts only the counts above 1; a denser
     slice (a double cover, Poisson-like counts) is bincounted whole. On
-    randomly placed counts the two cost the same near 3/32."""
+    randomly placed counts the two cost the same near 3/32. A slice after a
+    dense one is bincounted whole untested, and its bins 0 and 1 give its
+    own share above 1 for free, so only the first slice and a slice after a
+    sparse one pay the comparison. The branch never changes the histogram."""
     freq = np.zeros(_LARGE_FIBER + 1, dtype=np.int64)
     large = []
+    dense = False
     for start in range(0, len(counts), chunk):
         part = counts[start : start + chunk]
-        above = part > 1
-        if 8 * np.count_nonzero(above) <= len(part):
-            freq[1] += np.count_nonzero(part == 1)
-            part = part[above]
+        size = len(part)
+        whole = dense
+        if not dense:
+            above = part > 1
+            whole = 8 * np.count_nonzero(above) > size
+            if not whole:
+                freq[1] += np.count_nonzero(part == 1)
+                part = part[above]
         if part.max(initial=0) >= _LARGE_FIBER:
             large.append(part[part >= _LARGE_FIBER])
             part = np.minimum(part, _LARGE_FIBER)
-        freq += np.bincount(part, minlength=_LARGE_FIBER + 1)
+        bins = np.bincount(part, minlength=_LARGE_FIBER + 1)
+        freq += bins
+        dense = whole and 8 * (size - bins[0] - bins[1]) > size
     sizes = np.flatnonzero(freq[1:_LARGE_FIBER]) + 1
     histogram = dict(zip(sizes.tolist(), freq[sizes].tolist()))
     if large:

@@ -45,9 +45,10 @@ This module owns the residue arithmetic of the package: `_reduce` is the one
 floating-point reduction mod p, shared by elimination (float64) and the
 census (float32 or float64), `_floor_mod` the one integer reduction of a
 large array (int64, or uint32 rows), `normalize` the one projective
-representative, shared by sampling and kernel vectors, and `_proportional`
-the one proportionality test, one batch of 2x2 minors for any number of
-vector pairs.
+representative, shared by sampling and kernel vectors, `_proportional` the
+one proportionality test (one batch of 2x2 minors for any number of vector
+pairs), and `_log_tables` the discrete logarithms by which `monomials`
+evaluates monomials below p = 2^16, the one statement of that bound.
 
 numpy divides an integer array by a scalar with a multiply and a shift
 (libdivide), but runs `%` as one hardware division per element, so
@@ -192,6 +193,44 @@ def _row_dtype(p: int) -> type:
     """The type of condition rows mod p: uint32 while a product of two residues
     fits, (p-1)^2 < 2^32, that is p < 2^16; else int64."""
     return np.uint32 if p < 2**16 else np.int64
+
+
+@functools.lru_cache(maxsize=32)
+def _log_tables(p: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Discrete logarithms mod an odd prime p < 2^16: (exp, log), or None for
+    p >= 2^16, where the tables would cost 8p bytes.
+
+    g is the smallest primitive root: g^((p-1)/q) != 1 for every prime q | p-1,
+    found by trial division. exp[k] = g^k mod p for 0 <= k < p-1, uint32 (the
+    rows' type); log[x] is the k with g^k = x for x in F_p^*, float32 (exact below
+    2^24), and log[0] = 0. exp is built by doubling, exp[k:2k] = exp[:k] g^k, in
+    about log2(p) numpy steps; every product is below p^2 < 2^32. Both read-only,
+    8 bytes per residue in all: 512 KiB at 65521.
+    """
+    if p >= 2**16:
+        return None
+    order, rest, primes, q = p - 1, p - 1, [], 2
+    while q * q <= rest:
+        if rest % q == 0:
+            primes.append(q)
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    if rest > 1:
+        primes.append(rest)
+    g = next(g for g in range(2, p) if all(pow(g, order // q, p) != 1 for q in primes))
+    exp = np.ones(order, dtype=np.uint32)
+    k = 1
+    while k < order:
+        top = min(2 * k, order)
+        np.multiply(exp[: top - k], pow(g, k, p), out=exp[k:top])
+        exp[k:top] %= p
+        k = top
+    log = np.zeros(p, dtype=np.float32)
+    log[exp] = np.arange(order)
+    exp.setflags(write=False)
+    log.setflags(write=False)
+    return exp, log
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:

@@ -6,13 +6,31 @@ A degree-d form on P^n is a coefficient vector over the graded-lex basis
 Rows are residues mod p, a modulus ffield.check_modulus accepts, and assume
 p > d so the scaled derivative conditions stay faithful (derivative rows are
 not divided by alpha!; tangent rows divide by alpha! only for |alpha| = m <
-p). The power tables and monomial values are multiplied in int64, at most
-ffield._fold(p) of them before each reduction (4 at 32003, 2 at 2^31 - 1),
-so every product stays below 2^63; these arrays are small, and folding four
-residues per reduction keeps their numpy calls few. The rows themselves are
-ffield._row_dtype(p): uint32 for p < 2^16, where a product of two residues
-is below 2^32, else int64. Each reduction of an array is one
+p). The rows are ffield._row_dtype(p): uint32 for p < 2^16, where a product
+of two residues is below 2^32, else int64. Each reduction of an array is one
 ffield._floor_mod, in place.
+
+Monomial values, the one evaluation primitive of the rows, are taken in one
+of two ways, chosen by ffield._log_tables(p), the one place that states the
+bound:
+- p < 2^16: by discrete logarithms. With g the smallest primitive root mod
+  p, exp[k] = g^k and log[g^k] = k, the values of a batch of points are
+  exp[(log[pts] @ E^T) mod (p - 1)], E the exponent array: one float64 BLAS
+  product per batch in place of a gather and a multiply per variable. It is
+  exact, as every sum is at most d(p - 2) < 2^53 (a basis of d + 1 or more
+  monomials keeps d far below 2^37). log[0] is 0, so a monomial with a
+  positive exponent on a zero coordinate is then set to 0 by one mask,
+  (pts == 0) @ (E^T > 0) > 0, skipped when no coordinate is 0; 0^0 = 1 is
+  kept. The tables are built on first use and cached per p, 8 bytes per
+  residue (uint32 exp, the rows' type, and float32 log): 512 KiB at 65521.
+- p >= 2^16: by power tables, the product over the variables of each
+  point's powers gathered at the exponents, multiplied in int64, at most
+  ffield._fold(p) residues before each reduction (3 at 65537, 2 at
+  2^31 - 1), so every product stays below 2^63. The cut-off is where the
+  tables stop paying: they would take 8p bytes, 16 GiB near 2^31, and past
+  2^16 the rows leave uint32. The census builds its own power table with
+  the same _power_table.
+evaluate_basis returns the rows' type either way.
 
 Derivative rows use d^alpha x^beta = (beta)_alpha x^(beta - alpha), where
 (beta)_alpha = prod_i beta_i! / (beta_i - alpha_i)! is 0 unless alpha <= beta.
@@ -23,7 +41,7 @@ beta - alpha in monomial_basis(n, d-k) (0 wherever scale is 0), an int64
 array, and scale = (beta)_alpha mod p, in the rows' type, both of binom(n+k,
 n) x binom(n+d, n) entries. point_rows checks the modulus and reduces the
 points once; the rows of a batch of points are then one evaluation of the
-power tables, cast to the rows' type, one gather (`take`, so the rows come
+monomials, in the rows' type, one gather (`take`, so the rows come
 out contiguous), one `*= scale` and one _floor_mod in place, with no second
 array of the rows' size; both factors are residues, so the product is exact
 in the rows' type. Tangent rows are inserted into the same array, so
@@ -40,7 +58,7 @@ from math import comb, factorial, perm, prod
 
 import numpy as np
 
-from .ffield import _floor_mod, _fold, _proportional, _row_dtype, check_modulus
+from .ffield import _floor_mod, _fold, _log_tables, _proportional, _row_dtype, check_modulus
 
 
 def _exponents(n: int, d: int) -> tuple[tuple[int, ...], ...]:
@@ -118,9 +136,9 @@ def point_rows(basis: MonomialBasis, pts, m: int, directions, p: int) -> np.ndar
     # w[v, alpha] = v^alpha / alpha! mod p; alpha! is invertible since m < p
     inv_factorials = [pow(prod(map(factorial, a)), -1, p) for a in orders.exponents]
     w = evaluate_basis(orders, vs, p)
-    w *= np.array(inv_factorials, dtype=np.int64)
+    w *= np.array(inv_factorials, dtype=w.dtype)
     terms = _derivative_rows(pts[owner], d, m, p)
-    terms *= _floor_mod(w, p).astype(terms.dtype)[:, :, None]
+    terms *= _floor_mod(w, p)[:, :, None]
     # a uint32 sum is taken in uint64; np.insert casts it back to the rows' type
     tangent = _floor_mod(_floor_mod(terms, p).sum(axis=1), p)
     # each direction goes in after its point's k rows and the directions before it
@@ -134,7 +152,7 @@ def _derivative_rows(pts: np.ndarray, d: int, k: int, p: int) -> np.ndarray:
     The result has shape (H, |monomial_basis(n, k)|, |monomial_basis(n, d)|).
     """
     gammas, gather, scale = _derivative_table(pts.shape[1] - 1, d, k, p)
-    rows = _evaluate(gammas, pts, p).astype(scale.dtype, copy=False).take(gather, axis=1)
+    rows = _evaluate(gammas, pts, p).take(gather, axis=1)
     rows *= scale
     return _floor_mod(rows, p)
 
@@ -178,8 +196,8 @@ def _derivative_table(n: int, d: int, k: int, p: int):
 def evaluate_basis(basis: MonomialBasis, pts: np.ndarray, p: int) -> np.ndarray:
     """Evaluate every basis monomial on a batch of points.
 
-    pts has shape (N, n+1); the result has shape (N, |basis|), the product over
-    the variables of each point's power table gathered at the basis exponents.
+    pts has shape (N, n+1); the result has shape (N, |basis|), residues mod p
+    in the rows' type, ffield._row_dtype(p).
     """
     check_modulus(p)
     return _evaluate(basis, np.asarray(pts, dtype=np.int64) % p, p)
@@ -187,6 +205,18 @@ def evaluate_basis(basis: MonomialBasis, pts: np.ndarray, p: int) -> np.ndarray:
 
 def _evaluate(basis: MonomialBasis, pts: np.ndarray, p: int) -> np.ndarray:
     """evaluate_basis on residues pts mod a modulus p already checked."""
+    tables = _log_tables(p)
+    if tables is not None:
+        exp, log = tables
+        exps = basis.exponent_array.T.astype(np.float64)
+        # every sum is at most d(p - 2) < 2^53, so the float64 product is exact;
+        # one expression, so the int64 logarithms are freed before the mask
+        vals = exp.take(_floor_mod((log.take(pts) @ exps).astype(np.int64), p - 1))
+        zero = pts == 0
+        if zero.any():
+            # log[0] = 0 made x^e a power of g at x = 0; it is 0 for e > 0 (0^0 = 1)
+            vals *= zero.astype(np.float64) @ (exps > 0) == 0
+        return vals
     pw = _power_table(pts.ravel(), basis.d, p).T.reshape(*pts.shape, basis.d + 1)
     # a product may hold _fold(p) residues, and a reduced one counts as one
     step = _fold(p) - 1
@@ -203,7 +233,8 @@ def _power_table(vec: np.ndarray, d: int, p: int) -> np.ndarray:
     """pw[e, i] = vec[i]^e mod p for 0 <= e <= d, for residues vec.
 
     Row e is row e-1 times vec, reduced after every _fold(p) - 1 rows as in
-    evaluate_basis; one pass at the end reduces the rows in between.
+    _evaluate's power-table path; one pass at the end reduces the rows in
+    between.
     """
     pw = np.empty((d + 1, len(vec)), dtype=np.int64)
     pw[0] = 1

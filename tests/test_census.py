@@ -482,6 +482,33 @@ def test_histogram_bincounts_a_slice_whole_past_one_eighth_above_one(monkeypatch
 
 
 @pytest.mark.parametrize("chunk", SLICES)
+def test_only_the_first_slice_and_one_after_a_sparse_slice_are_tested(monkeypatch, chunk):
+    # dense, sparse, sparse, dense, dense: the slice after a dense one is bincounted
+    # whole untested, and its own bins 0 and 1 say that the next one is tested
+    rng = np.random.default_rng(chunk)
+    counts = rng.integers(0, 2, 5 * chunk, dtype=np.int32)
+    for i in (0, 3, 4):
+        counts[i * chunk : (i + 1) * chunk : 2] = 2
+    few = chunk // 16
+    counts[2 * chunk + rng.choice(chunk, few, replace=False)] = 3
+    lengths, tested = [], []
+
+    def bincount(x, *args, **kwargs):
+        lengths.append(len(x))
+        return np.bincount(x, *args, **kwargs)
+
+    def count_nonzero(x):
+        tested.append(len(x))
+        return np.count_nonzero(x)
+
+    _census_numpy_with(monkeypatch, bincount=bincount, count_nonzero=count_nonzero)
+    assert census._histogram(counts, chunk) == _dense_histogram(counts)
+    assert lengths == [chunk, chunk, few, chunk, chunk]
+    # the test of slices 0, 2 and 3, and the ones of the sparse slice 2
+    assert len(tested) == 4
+
+
+@pytest.mark.parametrize("chunk", SLICES)
 def test_sparse_slices_count_fibers_past_the_cut(monkeypatch, chunk):
     # mostly zeros, a few ones and small fibers, and sizes on both sides of the cut
     cut = census._LARGE_FIBER

@@ -12,6 +12,7 @@ from fatpoints.ffield import (
     FieldMatrix,
     _floor_mod,
     _fold,
+    _log_tables,
     _proportional,
     _reduce,
     check_modulus,
@@ -99,6 +100,23 @@ def test_field_matrix_keeps_reduced_uint32_rows():
     # any other type is taken as int64
     assert FieldMatrix(np.array([[1, 9]], dtype=np.int32), 7).a.tolist() == [[1, 2]]
     assert FieldMatrix(np.array([[1, 9]], dtype=np.uint16), 7).a.dtype == np.int64
+
+
+@pytest.mark.parametrize("p", [3, 5, 31, 32003, 65521])
+def test_log_tables_invert_the_powers_of_a_primitive_root(p):
+    exp, log = _log_tables(p)
+    g = int(exp[1])
+    assert len(exp) == p - 1 and exp[0] == 1
+    # g has order p - 1: no g^((p-1)/q) is 1 for a prime q | p - 1
+    assert pow(g, p - 1, p) == 1
+    assert all(pow(g, (p - 1) // q, p) != 1 for q in range(2, p) if (p - 1) % q == 0 and is_prime(q))
+    x = np.arange(1, p)
+    assert np.array_equal(exp[log[x].astype(np.int64)], x)
+    assert np.array_equal(log[exp], np.arange(p - 1))
+
+
+def test_log_tables_stop_at_two_to_the_sixteen():
+    assert _log_tables(65537) is None and _log_tables(2**31 - 1) is None
 
 
 FOLD_PRIMES = (3, 7, 32003, 65521, 2**31 - 1)

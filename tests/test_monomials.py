@@ -208,22 +208,29 @@ def test_point_rows_refuse_a_proportional_direction_among_several(where, kind):
         point_rows(b, pts, 2, dirs, P)
 
 
-@pytest.mark.parametrize("p", [3, 7, 32003, 65521, 2**31 - 1])
+@pytest.mark.parametrize("p", [3, 7, 32003, 65521, 65537, 2**31 - 1])
 def test_evaluate_basis_against_direct_powers(p):
-    # products hold _fold(p) = 31, 21, 4, 3 and 2 residues between reductions;
-    # a quintic in five variables has up to five factors, more than that at the
-    # three large primes, and the point of all p - 1 gives the largest products
-    n, d = 4, 5
-    b = monomial_basis(n, d)
+    # below 2^16 by discrete logarithms (65521 the largest such prime), from
+    # 65537 on by power tables, whose products hold _fold(p) = 3 and 2 residues
+    # between reductions. A quintic in five variables has up to five factors,
+    # and the point of all p - 1 gives the largest products; zero coordinates
+    # make 0^e = 0 for e > 0 but 0^0 = 1, and a degree of at least p (a power
+    # x^e with e >= p, x^p = x) passes the order p - 1 of F_p^*
+    n = 4
     rng = np.random.default_rng(11)
-    pts = np.vstack([rng.integers(0, p, (6, n + 1)), np.full((1, n + 1), p - 1)])
-    got = evaluate_basis(b, pts, p)
-    for i, pt in enumerate(pts):
-        for j, beta in enumerate(b.exponents):
-            want = 1
-            for x, e in zip(pt, beta):
-                want = want * pow(int(x), e, p) % p
-            assert got[i, j] == want
+    pts = rng.integers(1, p, (8, n + 1))
+    pts[[0, 1], [0, 3]] = 0  # one zero coordinate
+    pts[2:4] *= np.eye(n + 1, dtype=np.int64)[[2, 4]]  # all coordinates but one zero
+    pts = np.vstack([pts, np.full((1, n + 1), p - 1)])
+    for d in [0, 5] + ([p, p + 3] if p < 10 else []):
+        b = monomial_basis(n, d)
+        got = evaluate_basis(b, pts, p)
+        for i, pt in enumerate(pts):
+            for j, beta in enumerate(b.exponents):
+                want = 1
+                for x, e in zip(pt, beta):
+                    want = want * pow(int(x), e, p) % p
+                assert got[i, j] == want, (d, pt.tolist(), beta)
 
 
 def test_evaluation_refuses_moduli_beyond_int64_range():
